@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Local pre-PR gate: tier-1 tests, the ASan+UBSan suite, the TSan run of the
 # multi-threaded (ScenarioRunner) suite, a churn smoke run of the
-# fault-injection ablation, a parallel bench smoke (fig06 --jobs 4), and the
-# perf-regression gate (perf_suite vs the committed BENCH_perf.json).
+# fault-injection ablation, a parallel bench smoke (fig06 --jobs 4), the
+# whole-scenario benchmark's unit tests, and the perf-regression gate
+# (perf_suite vs the committed BENCH_perf.json).
 # Any failure aborts with nonzero exit.
 #
 #   scripts/check.sh                 # everything
@@ -87,6 +88,13 @@ state_smoke() {
   (cd "$bindir" && ./bench/ablation_state_exhaust --quick --jobs 4)
 }
 
+scenbench_unit_tests() {
+  echo "== scenbench: the whole-scenario benchmark's own unit tests =="
+  # Pure-Python reductions and checks of scenbench/run.py; they read saved
+  # JSON run documents and need no build.
+  python3 -m unittest discover -s scenbench -p 'test_*.py'
+}
+
 perf_gate() {
   local bindir="$1"
   echo "== perf gate: canonical suite vs committed BENCH_perf.json =="
@@ -113,6 +121,7 @@ if [[ "${1:-}" == "--preset" ]]; then
   if [[ "$PRESET" != "tsan" ]]; then
     churn_smoke "build-$PRESET"
     if [[ "$PRESET" == "release" ]]; then
+      scenbench_unit_tests
       parallel_bench_smoke "build-$PRESET"
       adaptive_smoke "build-$PRESET"
       state_smoke "build-$PRESET"

@@ -23,7 +23,6 @@ bool DrrQueue::enqueue(Packet&& p, TimeSec now) {
     fq.deficit = 0;
     round_.push_back(p.flow);
   }
-  total_bytes_ += static_cast<std::size_t>(p.size_bytes);
   ++total_packets_;
   fq.q.push_back(std::move(p));
   note_admit();
@@ -54,7 +53,6 @@ std::optional<Packet> DrrQueue::dequeue(TimeSec) {
     Packet p = std::move(fq.q.front());
     fq.q.pop_front();
     fq.deficit -= p.size_bytes;
-    total_bytes_ -= static_cast<std::size_t>(p.size_bytes);
     --total_packets_;
     if (fq.q.empty()) {
       fq.in_round = false;
@@ -64,6 +62,12 @@ std::optional<Packet> DrrQueue::dequeue(TimeSec) {
     return p;
   }
   return std::nullopt;
+}
+
+std::size_t DrrQueue::byte_count() const {
+  std::size_t bytes = 0;
+  for (const auto& [f, fq] : flows_) bytes += fq.q.bytes();
+  return bytes;
 }
 
 void DrrQueue::register_metrics(telemetry::MetricRegistry& reg,

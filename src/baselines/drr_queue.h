@@ -8,10 +8,10 @@
 // attacks, because an attacker with many flows owns many queues.
 #pragma once
 
-#include <deque>
 #include <list>
 #include <unordered_map>
 
+#include "netsim/packet_fifo.h"
 #include "netsim/queue_disc.h"
 
 namespace floc {
@@ -31,7 +31,7 @@ class DrrQueue : public QueueDisc {
   std::optional<Packet> dequeue(TimeSec now) override;
   bool empty() const override { return total_packets_ == 0; }
   std::size_t packet_count() const override { return total_packets_; }
-  std::size_t byte_count() const override { return total_bytes_; }
+  std::size_t byte_count() const override;
 
   std::size_t active_flows() const { return flows_.size(); }
 
@@ -45,7 +45,7 @@ class DrrQueue : public QueueDisc {
 
  private:
   struct FlowQueue {
-    std::deque<Packet> q;
+    PacketFifo q;
     int deficit = 0;
     bool in_round = false;
   };
@@ -54,7 +54,6 @@ class DrrQueue : public QueueDisc {
   std::unordered_map<FlowId, FlowQueue> flows_;
   std::list<FlowId> round_;  // active list (round-robin order)
   std::size_t total_packets_ = 0;
-  std::size_t total_bytes_ = 0;
 };
 
 }  // namespace floc

@@ -40,7 +40,6 @@ bool PriorityFairQueue::enqueue(Packet&& p, TimeSec now) {
   if (high_.size() + low_.size() >= cfg_.buffer_packets) {
     // Make room for a high-priority packet by shedding low-priority load.
     if (high_priority && !low_.empty()) {
-      bytes_ -= static_cast<std::size_t>(low_.back().size_bytes);
       note_drop(low_.back(), DropReason::kQueueFull, now);
       low_.pop_back();
     } else {
@@ -48,18 +47,16 @@ bool PriorityFairQueue::enqueue(Packet&& p, TimeSec now) {
       return false;
     }
   }
-  bytes_ += static_cast<std::size_t>(p.size_bytes);
   (high_priority ? high_ : low_).push_back(std::move(p));
   note_admit();
   return true;
 }
 
 std::optional<Packet> PriorityFairQueue::dequeue(TimeSec) {
-  std::deque<Packet>* src = !high_.empty() ? &high_ : (!low_.empty() ? &low_ : nullptr);
+  PacketFifo* src = !high_.empty() ? &high_ : (!low_.empty() ? &low_ : nullptr);
   if (src == nullptr) return std::nullopt;
   Packet p = std::move(src->front());
   src->pop_front();
-  bytes_ -= static_cast<std::size_t>(p.size_bytes);
   return p;
 }
 

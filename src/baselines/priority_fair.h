@@ -13,10 +13,10 @@
 // paper's point.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <unordered_map>
 
+#include "netsim/packet_fifo.h"
 #include "netsim/queue_disc.h"
 #include "util/units.h"
 
@@ -38,7 +38,9 @@ class PriorityFairQueue : public QueueDisc {
   std::optional<Packet> dequeue(TimeSec now) override;
   bool empty() const override { return high_.empty() && low_.empty(); }
   std::size_t packet_count() const override { return high_.size() + low_.size(); }
-  std::size_t byte_count() const override { return bytes_; }
+  std::size_t byte_count() const override {
+    return high_.bytes() + low_.bytes();
+  }
 
   // Minimal incident dump: base counters plus the two priority backlogs and
   // the fair-share denominator.
@@ -49,9 +51,8 @@ class PriorityFairQueue : public QueueDisc {
 
   PriorityFairConfig cfg_;
   LegitClassifier is_legit_;
-  std::deque<Packet> high_;
-  std::deque<Packet> low_;
-  std::size_t bytes_ = 0;
+  PacketFifo high_;
+  PacketFifo low_;
 
   TimeSec interval_end_ = 0.0;
   std::unordered_map<FlowId, double> bytes_this_interval_;

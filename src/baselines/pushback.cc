@@ -155,7 +155,6 @@ bool PushbackQueue::enqueue(Packet&& p, TimeSec now) {
     note_drop(p, DropReason::kQueueFull, now);
     return false;
   }
-  bytes_ += static_cast<std::size_t>(p.size_bytes);
   q_.push_back(std::move(p));
   note_admit();
   return true;
@@ -165,7 +164,6 @@ std::optional<Packet> PushbackQueue::dequeue(TimeSec) {
   if (q_.empty()) return std::nullopt;
   Packet p = std::move(q_.front());
   q_.pop_front();
-  bytes_ -= static_cast<std::size_t>(p.size_bytes);
   return p;
 }
 

@@ -17,9 +17,9 @@
 // DESIGN.md).
 #pragma once
 
-#include <deque>
 #include <unordered_map>
 
+#include "netsim/packet_fifo.h"
 #include "netsim/queue_disc.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -60,7 +60,7 @@ class PushbackQueue : public QueueDisc {
   std::optional<Packet> dequeue(TimeSec now) override;
   bool empty() const override { return q_.empty(); }
   std::size_t packet_count() const override { return q_.size(); }
-  std::size_t byte_count() const override { return bytes_; }
+  std::size_t byte_count() const override { return q_.bytes(); }
 
   bool throttling_active() const { return !limits_.empty(); }
   std::size_t limited_aggregate_count() const { return limits_.size(); }
@@ -81,8 +81,7 @@ class PushbackQueue : public QueueDisc {
 
   PushbackConfig cfg_;
   Rng rng_;
-  std::deque<Packet> q_;
-  std::size_t bytes_ = 0;
+  PacketFifo q_;
 
   // Per-aggregate arrival accounting for the current interval.
   struct AggStat {

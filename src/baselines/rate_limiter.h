@@ -5,9 +5,9 @@
 // buffer for other traffic.
 #pragma once
 
-#include <deque>
 #include <unordered_map>
 
+#include "netsim/packet_fifo.h"
 #include "netsim/queue_disc.h"
 #include "util/units.h"
 
@@ -22,7 +22,7 @@ class RateLimiterQueue : public QueueDisc {
   std::optional<Packet> dequeue(TimeSec now) override;
   bool empty() const override { return q_.empty(); }
   std::size_t packet_count() const override { return q_.size(); }
-  std::size_t byte_count() const override { return bytes_; }
+  std::size_t byte_count() const override { return q_.bytes(); }
 
   // Install (or refresh) a limit for packets whose path starts with `prefix`.
   // The limit expires at `expires` (refreshed by subsequent pushback
@@ -51,8 +51,7 @@ class RateLimiterQueue : public QueueDisc {
   };
 
   std::size_t capacity_;
-  std::size_t bytes_ = 0;
-  std::deque<Packet> q_;
+  PacketFifo q_;
   std::unordered_map<std::uint64_t, Limit> limits_;  // by prefix key
 };
 

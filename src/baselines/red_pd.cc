@@ -91,7 +91,6 @@ bool RedPdQueue::enqueue(Packet&& p, TimeSec now) {
     return false;
   }
 
-  bytes_ += static_cast<std::size_t>(p.size_bytes);
   q_.push_back(std::move(p));
   note_admit();
   return true;
@@ -101,7 +100,6 @@ std::optional<Packet> RedPdQueue::dequeue(TimeSec now) {
   if (q_.empty()) return std::nullopt;
   Packet p = std::move(q_.front());
   q_.pop_front();
-  bytes_ -= static_cast<std::size_t>(p.size_bytes);
   if (q_.empty()) red_.on_queue_empty(now);
   return p;
 }

@@ -14,10 +14,10 @@
 // multiplicative increase / decrease.
 #pragma once
 
-#include <deque>
 #include <unordered_map>
 
 #include "baselines/red_queue.h"
+#include "netsim/packet_fifo.h"
 
 namespace floc {
 
@@ -43,7 +43,7 @@ class RedPdQueue : public QueueDisc {
   std::optional<Packet> dequeue(TimeSec now) override;
   bool empty() const override { return q_.empty(); }
   std::size_t packet_count() const override { return q_.size(); }
-  std::size_t byte_count() const override { return bytes_; }
+  std::size_t byte_count() const override { return q_.bytes(); }
 
   bool is_monitored(FlowId f) const { return monitored_.count(f) != 0; }
   double monitored_prob(FlowId f) const;
@@ -63,8 +63,7 @@ class RedPdQueue : public QueueDisc {
   RedPdConfig cfg_;
   RedCore red_;
   Rng rng_;
-  std::deque<Packet> q_;
-  std::size_t bytes_ = 0;
+  PacketFifo q_;
 
   TimeSec epoch_end_ = 0.0;
   // Drop history: for each flow, in how many of the recent epochs it was

@@ -51,7 +51,6 @@ bool RedQueue::enqueue(Packet&& p, TimeSec now) {
     note_drop(p, DropReason::kRandomEarly, now);
     return false;
   }
-  bytes_ += static_cast<std::size_t>(p.size_bytes);
   q_.push_back(std::move(p));
   note_admit();
   return true;
@@ -61,7 +60,6 @@ std::optional<Packet> RedQueue::dequeue(TimeSec now) {
   if (q_.empty()) return std::nullopt;
   Packet p = std::move(q_.front());
   q_.pop_front();
-  bytes_ -= static_cast<std::size_t>(p.size_bytes);
   if (q_.empty()) core_.on_queue_empty(now);
   return p;
 }

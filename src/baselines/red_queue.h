@@ -6,8 +6,7 @@
 // RED-PD.
 #pragma once
 
-#include <deque>
-
+#include "netsim/packet_fifo.h"
 #include "netsim/queue_disc.h"
 #include "util/rng.h"
 
@@ -55,7 +54,7 @@ class RedQueue : public QueueDisc {
   std::optional<Packet> dequeue(TimeSec now) override;
   bool empty() const override { return q_.empty(); }
   std::size_t packet_count() const override { return q_.size(); }
-  std::size_t byte_count() const override { return bytes_; }
+  std::size_t byte_count() const override { return q_.bytes(); }
 
   double avg_queue() const { return core_.avg(); }
 
@@ -70,8 +69,7 @@ class RedQueue : public QueueDisc {
  private:
   RedConfig cfg_;
   RedCore core_;
-  std::deque<Packet> q_;
-  std::size_t bytes_ = 0;
+  PacketFifo q_;
 };
 
 }  // namespace floc

@@ -72,7 +72,7 @@ void FlocQueue::attach_telemetry(telemetry::Telemetry* t,
   reg.gauge_fn(prefix + ".queue.packets",
                [this] { return static_cast<double>(q_.size()); });
   reg.gauge_fn(prefix + ".queue.bytes",
-               [this] { return static_cast<double>(q_bytes_); });
+               [this] { return static_cast<double>(q_.bytes()); });
   reg.gauge_fn(prefix + ".queue.q_min",
                [this] { return static_cast<double>(q_min_); });
   reg.gauge_fn(prefix + ".queue.q_max",
@@ -203,7 +203,7 @@ void FlocQueue::snapshot_state(json::JsonWriter& w, TimeSec now) const {
   w.key("mode").begin_object();
   w.field("name", mode_name(mode()));
   w.field("queue_packets", static_cast<std::uint64_t>(q_.size()));
-  w.field("queue_bytes", static_cast<std::uint64_t>(q_bytes_));
+  w.field("queue_bytes", static_cast<std::uint64_t>(q_.bytes()));
   w.field("q_min", static_cast<std::uint64_t>(q_min_));
   w.field("q_max", static_cast<std::uint64_t>(q_max_));
   w.field("control_ticks", static_cast<std::int64_t>(control_ticks_));
@@ -446,7 +446,7 @@ OriginPathState& FlocQueue::origin_state(const PathId& path, bool cap_backed) {
 void FlocQueue::enforce_origin_budget() {
   if (!cfg_.origin_budget.enabled()) return;
   evict_origins_ += enforce_budget(
-      origins_, cfg_.origin_budget, evict_salt(),
+      origins_, cfg_.origin_budget, evict_salt(), evict_scratch_,
       [this](std::uint64_t, const OriginPathState& op) {
         // kLowestOffenseFirst pins latched / latching paths (and, softly,
         // low-conformance ones): churned innocents go first, so an attacker
@@ -497,7 +497,7 @@ void FlocQueue::evict_origin(std::uint64_t okey, const OriginPathState& op) {
 void FlocQueue::enforce_offense_budget() {
   if (!cfg_.offense_budget.enabled()) return;
   evict_offense_ += enforce_budget(
-      offense_, cfg_.offense_budget, evict_salt(),
+      offense_, cfg_.offense_budget, evict_salt(), evict_scratch_,
       [](std::uint64_t, const PathOffense& po) {
         // Keep escalated and currently-latched verdicts longest.
         return EvictRank{static_cast<double>(po.multiplier) +
@@ -512,7 +512,7 @@ void FlocQueue::enforce_offense_budget() {
 void FlocQueue::enforce_offender_budget(TimeSec now) {
   if (!cfg_.offender_budget.enabled()) return;
   evict_offenders_ += enforce_budget(
-      offenders_, cfg_.offender_budget, evict_salt(),
+      offenders_, cfg_.offender_budget, evict_salt(), evict_scratch_,
       [now](HostAddr, const Offender& o) {
         // Actively-sentenced senders rank far above mere strike carriers.
         return EvictRank{static_cast<double>(o.strikes) +
@@ -675,7 +675,8 @@ bool FlocQueue::enqueue_impl(Packet&& p, TimeSec now) {
       }
       FlowRecord& fr =
           op.touch_flow(acct_key(p), now, &cfg_.flow_budget,
-                        mix64(cfg_.rng_seed) ^ touch_seq_, &evict_flows_);
+                        mix64(cfg_.rng_seed) ^ touch_seq_, &evict_flows_,
+                        &evict_scratch_);
       fr.syn_time = now;
       fr.rtt_sampled = false;
       if (cfg_.enable_capabilities) {
@@ -707,7 +708,6 @@ bool FlocQueue::enqueue_impl(Packet&& p, TimeSec now) {
     }
   }
 
-  q_bytes_ += static_cast<std::size_t>(p.size_bytes);
   q_.push_back(std::move(p));
   note_admit();
   return true;
@@ -728,7 +728,8 @@ bool FlocQueue::admit_data(Packet& p, TimeSec now) {
   const std::uint64_t key = acct_key(p);
   FlowRecord& fr =
       op.touch_flow(key, now, &cfg_.flow_budget,
-                    mix64(cfg_.rng_seed) ^ touch_seq_, &evict_flows_);
+                    mix64(cfg_.rng_seed) ^ touch_seq_, &evict_flows_,
+                    &evict_scratch_);
 
   // RTT sample: capability issue (SYN) to first use (Section V-A).
   if (!fr.rtt_sampled && fr.syn_time >= 0.0) {
@@ -937,7 +938,6 @@ std::optional<Packet> FlocQueue::dequeue(TimeSec now) {
   if (q_.empty()) return std::nullopt;
   Packet p = std::move(q_.front());
   q_.pop_front();
-  q_bytes_ -= static_cast<std::size_t>(p.size_bytes);
   ++dequeues_;
   if (journal_ != nullptr) journal_mode(now);
   return p;
@@ -951,7 +951,6 @@ void FlocQueue::reboot(TimeSec now, bool preserve_queue) {
   if (!preserve_queue) {
     flushed_ += q_.size();
     q_.clear();
-    q_bytes_ = 0;
   }
   control_ticks_ = 0;
   next_control_ = now;  // re-estimate parameters on the next arrival
@@ -1454,9 +1453,9 @@ bool FlocQueue::audit(TimeSec now, std::string* why) const {
   // (1) Byte accounting matches the queued packets.
   std::size_t bytes = 0;
   for (const Packet& p : q_) bytes += static_cast<std::size_t>(p.size_bytes);
-  if (bytes != q_bytes_) {
+  if (bytes != q_.bytes()) {
     return fail("queued bytes " + std::to_string(bytes) +
-                " != accounted q_bytes " + std::to_string(q_bytes_));
+                " != accounted bytes " + std::to_string(q_.bytes()));
   }
   if (q_.size() > cfg_.buffer_packets) {
     return fail("queue length " + std::to_string(q_.size()) +

@@ -21,7 +21,6 @@
 // needs no timers and composes with any simulator driving enqueue/dequeue.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -33,6 +32,7 @@
 #include "core/model.h"
 #include "core/state_budget.h"
 #include "core/token_bucket.h"
+#include "netsim/packet_fifo.h"
 #include "netsim/queue_disc.h"
 #include "telemetry/profiler.h"
 #include "telemetry/telemetry.h"
@@ -215,7 +215,7 @@ class FlocQueue : public QueueDisc {
   std::optional<Packet> dequeue(TimeSec now) override;
   bool empty() const override { return q_.empty(); }
   std::size_t packet_count() const override { return q_.size(); }
-  std::size_t byte_count() const override { return q_bytes_; }
+  std::size_t byte_count() const override { return q_.bytes(); }
 
   // --- Introspection (tests, experiments) --------------------------------
   enum class Mode { kUncongested, kCongested, kFlooding };
@@ -417,8 +417,7 @@ class FlocQueue : public QueueDisc {
   Rng rng_;
   std::unique_ptr<ScalableDropFilter> filter_;
 
-  std::deque<Packet> q_;
-  std::size_t q_bytes_ = 0;
+  PacketFifo q_;
   std::size_t q_min_;
   std::size_t q_max_;
 
@@ -444,6 +443,7 @@ class FlocQueue : public QueueDisc {
   std::uint64_t evict_flows_ = 0;
   std::uint64_t evict_offense_ = 0;
   std::uint64_t evict_offenders_ = 0;
+  EvictScratch evict_scratch_;  // enforce_budget ranking buffer, reused
   std::uint64_t journal_evict_mark_ = 0;  // evictions already journaled
 
   TimeSec next_control_ = 0.0;

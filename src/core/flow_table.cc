@@ -5,12 +5,14 @@ namespace floc {
 FlowRecord& OriginPathState::touch_flow(std::uint64_t acct_key, TimeSec now,
                                         const StateBudgetConfig* budget,
                                         std::uint64_t decay_salt,
-                                        std::uint64_t* evicted) {
+                                        std::uint64_t* evicted,
+                                        EvictScratch* scratch) {
   auto it = flows_.find(acct_key);
   if (it == flows_.end()) {
     if (budget != nullptr && budget->enabled()) {
+      EvictScratch local;
       const std::size_t n = enforce_budget(
-          flows_, *budget, decay_salt,
+          flows_, *budget, decay_salt, scratch != nullptr ? *scratch : local,
           [](std::uint64_t, const FlowRecord& fr) {
             // kLowestOffenseFirst keeps flows with drop (MTD) history: an
             // attacker churning accounting keys cannot push its own

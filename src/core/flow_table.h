@@ -50,11 +50,13 @@ class OriginPathState {
   // evicts down to the budget's shrink target (kLru: coldest records;
   // kLowestOffenseFirst: fewest lifetime drops first, so the MTD history of
   // offending flows survives identity churn; kProbabilisticDecay: seeded
-  // uniform victims). `evicted` (optional) accumulates the eviction count.
+  // uniform victims). `evicted` (optional) accumulates the eviction count;
+  // `scratch` (optional) is the caller's reusable ranking buffer.
   FlowRecord& touch_flow(std::uint64_t acct_key, TimeSec now,
                          const StateBudgetConfig* budget = nullptr,
                          std::uint64_t decay_salt = 0,
-                         std::uint64_t* evicted = nullptr);
+                         std::uint64_t* evicted = nullptr,
+                         EvictScratch* scratch = nullptr);
   FlowRecord* find_flow(std::uint64_t acct_key);
 
   // Remove flows idle longer than `timeout`; returns surviving count.

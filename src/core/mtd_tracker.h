@@ -3,8 +3,9 @@
 // to their send rate — show MTDs well below the reference n_i·T_Si.
 #pragma once
 
-#include <deque>
+#include <cstddef>
 #include <limits>
+#include <vector>
 
 #include "util/units.h"
 
@@ -13,7 +14,10 @@ namespace floc {
 class MtdTracker {
  public:
   // `window` = k·T_Si, the measurement horizon; may be adjusted as token
-  // parameters change. `max_records` bounds memory per flow.
+  // parameters change. `max_records` (>= 1) bounds memory per flow: the
+  // drop history is a ring that allocates nothing before the first drop,
+  // then doubles as needed up to `max_records` entries, evicting the oldest
+  // drop once full.
   explicit MtdTracker(TimeSec window = 1.0, std::size_t max_records = 512)
       : window_(window), max_records_(max_records) {}
 
@@ -32,10 +36,14 @@ class MtdTracker {
 
  private:
   void prune(TimeSec now);
+  void pop_oldest();
+  void grow();
 
   TimeSec window_;
   std::size_t max_records_;
-  std::deque<TimeSec> drops_;
+  std::vector<TimeSec> ring_;  // capacity = ring_.size(); oldest at head_
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
   std::size_t total_drops_ = 0;
 };
 

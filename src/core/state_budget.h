@@ -27,7 +27,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "util/seed.h"
@@ -103,46 +102,51 @@ inline EvictCandidate make_candidate(EvictionPolicy policy,
 }
 }  // namespace detail
 
+// Reusable candidate buffer for enforce_budget; a caller that enforces
+// repeatedly keeps one so each batch ranks without allocating.
+using EvictScratch = std::vector<detail::EvictCandidate>;
+
 // Shrinks `map` to the budget's shrink target if (and only if) it has
 // reached capacity. `rank_of(key, value)` supplies the EvictRank;
 // `on_evict(key, value)` runs for each victim, in deterministic
 // evicts-first order, immediately before erasure. `decay_salt` seeds the
 // kProbabilisticDecay hash (vary it per enforcement round so repeated
-// pressure does not re-target the same survivors). Returns evicted count.
+// pressure does not re-target the same survivors). `scratch` holds the
+// ranked candidates (contents overwritten). Returns evicted count. Map keys
+// must be integers (the candidate's key_bits round-trips the key).
 //
 // Call this BEFORE inserting a new entry: the post-insert size is then
 // <= shrink_target + 1 <= capacity, so a bounded table never exceeds its
 // configured budget at any observable point.
 template <typename Map, typename RankFn, typename EvictFn>
 std::size_t enforce_budget(Map& map, const StateBudgetConfig& budget,
-                           std::uint64_t decay_salt, RankFn&& rank_of,
-                           EvictFn&& on_evict) {
+                           std::uint64_t decay_salt, EvictScratch& scratch,
+                           RankFn&& rank_of, EvictFn&& on_evict) {
   if (!budget.enabled() || map.size() < budget.capacity) return 0;
   const std::size_t target = budget.shrink_target();
   if (map.size() <= target) return 0;
   const std::size_t victims = map.size() - target;
 
-  std::vector<std::pair<detail::EvictCandidate, typename Map::key_type>> ranked;
-  ranked.reserve(map.size());
+  const auto before = [](const detail::EvictCandidate& a,
+                          const detail::EvictCandidate& b) {
+    return detail::evicts_before(a, b);
+  };
+  EvictScratch& ranked = scratch;
+  ranked.clear();
   for (const auto& [key, value] : map) {
     const std::uint64_t key_bits = static_cast<std::uint64_t>(key);
-    ranked.emplace_back(
-        detail::make_candidate(budget.policy, key_bits, rank_of(key, value),
-                               decay_salt),
-        key);
+    ranked.push_back(detail::make_candidate(budget.policy, key_bits,
+                                            rank_of(key, value), decay_salt));
   }
   std::nth_element(ranked.begin(),
                    ranked.begin() + static_cast<std::ptrdiff_t>(victims - 1),
-                   ranked.end(), [](const auto& a, const auto& b) {
-                     return detail::evicts_before(a.first, b.first);
-                   });
+                   ranked.end(), before);
   // Deterministic callback order within the victim prefix (it is small).
   std::sort(ranked.begin(), ranked.begin() + static_cast<std::ptrdiff_t>(victims),
-            [](const auto& a, const auto& b) {
-              return detail::evicts_before(a.first, b.first);
-            });
+            before);
   for (std::size_t i = 0; i < victims; ++i) {
-    const auto it = map.find(ranked[i].second);
+    const auto it =
+        map.find(static_cast<typename Map::key_type>(ranked[i].key_bits));
     on_evict(it->first, it->second);
     map.erase(it);
   }

@@ -7,7 +7,6 @@ bool DropTailQueue::enqueue(Packet&& p, TimeSec now) {
     note_drop(p, DropReason::kQueueFull, now);
     return false;
   }
-  bytes_ += static_cast<std::size_t>(p.size_bytes);
   q_.push_back(std::move(p));
   note_admit();
   return true;
@@ -17,7 +16,6 @@ std::optional<Packet> DropTailQueue::dequeue(TimeSec) {
   if (q_.empty()) return std::nullopt;
   Packet p = std::move(q_.front());
   q_.pop_front();
-  bytes_ -= static_cast<std::size_t>(p.size_bytes);
   return p;
 }
 

@@ -1,8 +1,7 @@
 // Plain FIFO drop-tail queue with a packet-count capacity.
 #pragma once
 
-#include <deque>
-
+#include "netsim/packet_fifo.h"
 #include "netsim/queue_disc.h"
 
 namespace floc {
@@ -16,12 +15,11 @@ class DropTailQueue : public QueueDisc {
   std::optional<Packet> dequeue(TimeSec now) override;
   bool empty() const override { return q_.empty(); }
   std::size_t packet_count() const override { return q_.size(); }
-  std::size_t byte_count() const override { return bytes_; }
+  std::size_t byte_count() const override { return q_.bytes(); }
 
  private:
   std::size_t capacity_;
-  std::size_t bytes_ = 0;
-  std::deque<Packet> q_;
+  PacketFifo q_;
 };
 
 }  // namespace floc

@@ -1,10 +1,57 @@
 #include "transport/tcp_sink.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "netsim/link.h"
 #include "transport/flow_monitor.h"
 #include "util/units.h"
 
 namespace floc {
+
+bool ReorderWindow::accept(std::uint64_t seq) {
+  if (seq < next_expected_) return false;
+  const std::uint64_t off = seq - next_expected_;
+  const std::size_t word = static_cast<std::size_t>(off / 64);
+  const std::uint64_t bit = std::uint64_t{1} << (off % 64);
+  if (word < bits_.size() && (bits_[word] & bit) != 0) return false;
+  if (off == 0) {
+    advance();
+    return true;
+  }
+  if (word >= bits_.size()) bits_.resize(word + 1, 0);
+  bits_[word] |= bit;
+  return true;
+}
+
+void ReorderWindow::advance() {
+  // The run of consecutive received segments starting at the filled hole.
+  std::uint64_t run = 1;
+  if (!bits_.empty()) {
+    bits_[0] |= 1;
+    run = 0;
+    for (const std::uint64_t w : bits_) {
+      if (w != ~std::uint64_t{0}) {
+        run += static_cast<std::uint64_t>(std::countr_one(w));
+        break;
+      }
+      run += 64;
+    }
+    const std::size_t n = bits_.size();
+    const std::size_t wshift = static_cast<std::size_t>(run / 64);
+    const unsigned bshift = static_cast<unsigned>(run % 64);
+    for (std::size_t i = 0; i + wshift < n; ++i) {
+      std::uint64_t w = bits_[i + wshift] >> bshift;
+      if (bshift != 0 && i + wshift + 1 < n) {
+        w |= bits_[i + wshift + 1] << (64 - bshift);
+      }
+      bits_[i] = w;
+    }
+    bits_.resize(n - std::min(n, wshift));
+    while (!bits_.empty() && bits_.back() == 0) bits_.pop_back();
+  }
+  next_expected_ += run;
+}
 
 TcpSink::TcpSink(Simulator* sim, Host* host, FlowMonitor* monitor)
     : sim_(sim), host_(host), monitor_(monitor) {
@@ -37,24 +84,14 @@ void TcpSink::on_packet(Packet&& p) {
       break;
     }
     case PacketType::kData: {
-      FlowState& st = flows_[p.flow];
-      if (p.seq < st.next_expected || st.out_of_order.count(p.seq)) {
+      ReorderWindow& win = flows_[p.flow];
+      if (!win.accept(p.seq)) {
         ++duplicates_;
       } else {
         ++delivered_packets_;
         if (monitor_) monitor_->on_deliver(p.flow, sim_->now(), p.size_bytes);
-        if (p.seq == st.next_expected) {
-          ++st.next_expected;
-          auto it = st.out_of_order.begin();
-          while (it != st.out_of_order.end() && *it == st.next_expected) {
-            ++st.next_expected;
-            it = st.out_of_order.erase(it);
-          }
-        } else {
-          st.out_of_order.insert(p.seq);
-        }
       }
-      reply(p, PacketType::kAck, st.next_expected);
+      reply(p, PacketType::kAck, win.next_expected());
       break;
     }
     default:

@@ -24,8 +24,9 @@ using Map = std::unordered_map<std::uint64_t, Entry>;
 std::vector<std::uint64_t> evict(Map& map, const StateBudgetConfig& budget,
                                  std::uint64_t salt = 0) {
   std::vector<std::uint64_t> victims;
+  EvictScratch scratch;
   enforce_budget(
-      map, budget, salt,
+      map, budget, salt, scratch,
       [](std::uint64_t, const Entry& e) {
         return EvictRank{e.score, e.recency};
       },
