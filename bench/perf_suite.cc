@@ -358,7 +358,7 @@ double queue_workload_ns(QueueDisc& q, Load load, int packets) {
 
 TreeScenarioConfig macro_config(AttackType attack, std::uint64_t seed,
                                 bool quick,
-                                SimEngine engine = Simulator::default_engine()) {
+                                SimEngine engine = SimEngine::kWheel) {
   TreeScenarioConfig cfg;
   cfg.tree_degree = 3;
   cfg.tree_height = 2;  // 9 leaves
@@ -399,7 +399,7 @@ struct SweepResult {
 
 SweepResult run_macro_sweep(const SuiteArgs& a, int jobs,
                             std::uint64_t sweep_salt,
-                            SimEngine engine = Simulator::default_engine()) {
+                            SimEngine engine = SimEngine::kWheel) {
   const AttackType attacks[] = {AttackType::kTcpPopulation, AttackType::kCbr,
                                 AttackType::kShrew};
   struct CaseOut {

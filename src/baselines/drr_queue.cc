@@ -72,9 +72,10 @@ std::size_t DrrQueue::byte_count() const {
 
 void DrrQueue::register_metrics(telemetry::MetricRegistry& reg,
                                 const std::string& prefix) const {
-  QueueDisc::register_metrics(reg, prefix);
+  register_queue_gauges(reg, prefix);
   reg.gauge_fn(prefix + ".active_flows",
                [this] { return static_cast<double>(active_flows()); });
+  register_drop_gauges(reg, prefix);
 }
 
 void DrrQueue::snapshot_state(json::JsonWriter& w, TimeSec now) const {

@@ -35,7 +35,8 @@ class DrrQueue : public QueueDisc {
 
   std::size_t active_flows() const { return flows_.size(); }
 
-  // Generic queue gauges plus "<prefix>.active_flows".
+  // Generic queue gauges, "<prefix>.active_flows", then the per-reason
+  // drop gauges.
   void register_metrics(telemetry::MetricRegistry& reg,
                         const std::string& prefix) const override;
 

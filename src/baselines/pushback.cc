@@ -169,12 +169,13 @@ std::optional<Packet> PushbackQueue::dequeue(TimeSec) {
 
 void PushbackQueue::register_metrics(telemetry::MetricRegistry& reg,
                                      const std::string& prefix) const {
-  QueueDisc::register_metrics(reg, prefix);
+  register_queue_gauges(reg, prefix);
   reg.gauge_fn(prefix + ".limited_aggregates", [this] {
     return static_cast<double>(limited_aggregate_count());
   });
   reg.gauge_fn(prefix + ".throttling",
                [this] { return throttling_active() ? 1.0 : 0.0; });
+  register_drop_gauges(reg, prefix);
 }
 
 void PushbackQueue::snapshot_state(json::JsonWriter& w, TimeSec now) const {

@@ -17,6 +17,7 @@
 // DESIGN.md).
 #pragma once
 
+#include <functional>
 #include <unordered_map>
 
 #include "netsim/packet_fifo.h"
@@ -66,8 +67,8 @@ class PushbackQueue : public QueueDisc {
   std::size_t limited_aggregate_count() const { return limits_.size(); }
   double limit_for(const PathId& path) const;
 
-  // Generic queue gauges plus "<prefix>.limited_aggregates" and
-  // "<prefix>.throttling" (0/1).
+  // Generic queue gauges, "<prefix>.limited_aggregates",
+  // "<prefix>.throttling" (0/1), then the per-reason drop gauges.
   void register_metrics(telemetry::MetricRegistry& reg,
                         const std::string& prefix) const override;
 

@@ -106,10 +106,11 @@ std::optional<Packet> RedPdQueue::dequeue(TimeSec now) {
 
 void RedPdQueue::register_metrics(telemetry::MetricRegistry& reg,
                                   const std::string& prefix) const {
-  QueueDisc::register_metrics(reg, prefix);
+  register_queue_gauges(reg, prefix);
   reg.gauge_fn(prefix + ".avg", [this] { return red_.avg(); });
   reg.gauge_fn(prefix + ".monitored_flows",
                [this] { return static_cast<double>(monitored_count()); });
+  register_drop_gauges(reg, prefix);
 }
 
 void RedPdQueue::snapshot_state(json::JsonWriter& w, TimeSec now) const {

@@ -49,7 +49,8 @@ class RedPdQueue : public QueueDisc {
   double monitored_prob(FlowId f) const;
   std::size_t monitored_count() const { return monitored_.size(); }
 
-  // Generic queue gauges plus "<prefix>.avg" and "<prefix>.monitored_flows".
+  // Generic queue gauges, "<prefix>.avg", "<prefix>.monitored_flows", then
+  // the per-reason drop gauges.
   void register_metrics(telemetry::MetricRegistry& reg,
                         const std::string& prefix) const override;
 

@@ -66,8 +66,9 @@ std::optional<Packet> RedQueue::dequeue(TimeSec now) {
 
 void RedQueue::register_metrics(telemetry::MetricRegistry& reg,
                                 const std::string& prefix) const {
-  QueueDisc::register_metrics(reg, prefix);
+  register_queue_gauges(reg, prefix);
   reg.gauge_fn(prefix + ".avg", [this] { return avg_queue(); });
+  register_drop_gauges(reg, prefix);
 }
 
 void RedQueue::snapshot_state(json::JsonWriter& w, TimeSec now) const {

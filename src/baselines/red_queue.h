@@ -58,7 +58,8 @@ class RedQueue : public QueueDisc {
 
   double avg_queue() const { return core_.avg(); }
 
-  // Generic queue gauges plus "<prefix>.avg" (the RED EWMA queue estimate).
+  // Generic queue gauges, "<prefix>.avg" (the RED EWMA queue estimate), then
+  // the per-reason drop gauges.
   void register_metrics(telemetry::MetricRegistry& reg,
                         const std::string& prefix) const override;
 

@@ -61,7 +61,7 @@ const char* FlocQueue::mode_name(Mode m) {
 
 void FlocQueue::attach_telemetry(telemetry::Telemetry* t,
                                  const std::string& prefix) {
-  journal_ = t != nullptr ? &t->journal : nullptr;
+  set_journal(t != nullptr ? &t->journal : nullptr);
   if (t == nullptr) return;
   last_mode_ = mode();
 
@@ -83,12 +83,7 @@ void FlocQueue::attach_telemetry(telemetry::Telemetry* t,
                [this] { return static_cast<double>(dequeues_); });
   reg.gauge_fn(prefix + ".drops.total",
                [this] { return static_cast<double>(drops()); });
-  for (std::size_t i = 0; i < kDropReasonCount; ++i) {
-    const DropReason r = static_cast<DropReason>(i);
-    reg.gauge_fn(prefix + ".drops." + to_string(r), [this, r] {
-      return static_cast<double>(drops_by_reason(r));
-    });
-  }
+  register_drop_gauges(reg, prefix);
   reg.gauge_fn(prefix + ".cap.violations",
                [this] { return static_cast<double>(cap_violations_); });
   reg.gauge_fn(prefix + ".cap.reissues",
@@ -119,7 +114,7 @@ void FlocQueue::attach_telemetry(telemetry::Telemetry* t,
 
 void FlocQueue::register_metrics(telemetry::MetricRegistry& reg,
                                  const std::string& prefix) const {
-  QueueDisc::register_metrics(reg, prefix);
+  register_queue_gauges(reg, prefix);
   register_state_gauges(reg);
 }
 
@@ -217,7 +212,8 @@ void FlocQueue::snapshot_state(json::JsonWriter& w, TimeSec now) const {
   w.key("drops").begin_object();
   w.field("total", drops());
   for (std::size_t i = 0; i < kDropReasonCount; ++i) {
-    w.field(to_string(static_cast<DropReason>(i)), drop_counts_[i]);
+    const DropReason r = static_cast<DropReason>(i);
+    w.field(to_string(r), drops_by_reason(r));
   }
   w.end_object();
 
@@ -377,16 +373,10 @@ void FlocQueue::journal_mode(TimeSec now) {
   std::snprintf(detail, sizeof(detail), "%s->%s q=%zu q_min=%zu q_max=%zu",
                 mode_name(last_mode_), mode_name(m), q_.size(), q_min_,
                 q_max_);
-  journal_->record(now, telemetry::EventKind::kModeTransition, "floc", detail,
-                   static_cast<std::uint64_t>(static_cast<int>(m)),
-                   static_cast<double>(q_.size()));
+  journal()->record(now, telemetry::EventKind::kModeTransition, "floc", detail,
+                    static_cast<std::uint64_t>(static_cast<int>(m)),
+                    static_cast<double>(q_.size()));
   last_mode_ = m;
-}
-
-void FlocQueue::journal_drop(const Packet& p, DropReason r, TimeSec now) {
-  journal_->record(now, telemetry::EventKind::kDrop, "floc", std::string(),
-                   static_cast<std::uint64_t>(r),
-                   static_cast<double>(p.size_bytes));
 }
 
 void FlocQueue::set_profiler(telemetry::Profiler* prof,
@@ -596,12 +586,12 @@ void FlocQueue::strike(HostAddr src, TimeSec now) {
   if (++o.strikes >= cfg_.blacklist_strikes) {
     o.strikes = 0;
     o.blacklisted_until = now + cfg_.blacklist_duration;
-    if (journal_ != nullptr) {
+    if (journal() != nullptr) {
       char detail[48];
       std::snprintf(detail, sizeof(detail), "src=%u until t=%.3f",
                     static_cast<unsigned>(src), o.blacklisted_until);
-      journal_->record(now, telemetry::EventKind::kBlacklistAdd, "floc",
-                       detail, src, cfg_.blacklist_duration);
+      journal()->record(now, telemetry::EventKind::kBlacklistAdd, "floc",
+                        detail, src, cfg_.blacklist_duration);
     }
   }
 }
@@ -631,8 +621,6 @@ void FlocQueue::on_drop(const Packet& p, DropReason r, OriginPathState& op,
   if (tracer() != nullptr && p.span.active()) {
     trace_verdict(p, agg, now, "drop");  // DropReason added by the base hook
   }
-  if (journal_ != nullptr) journal_drop(p, r, now);
-  drop_counts_[static_cast<std::size_t>(r)]++;
   op.drops++;
   if (fr != nullptr) {
     fr->drops++;
@@ -651,7 +639,7 @@ bool FlocQueue::enqueue(Packet&& p, TimeSec now) {
   const bool admitted = enqueue_impl(std::move(p), now);
   // Telemetry off: one pointer test. On: detect mode transitions caused by
   // this arrival (queue growth or a control-tick q_max change).
-  if (journal_ != nullptr) journal_mode(now);
+  if (journal() != nullptr) journal_mode(now);
   return admitted;
 }
 
@@ -668,8 +656,6 @@ bool FlocQueue::enqueue_impl(Packet&& p, TimeSec now) {
       if (overloaded_ && cfg_.overload_syn_rate > 0.0 &&
           !op.syn_gate_admit(now, cfg_.overload_syn_rate,
                              cfg_.overload_syn_burst)) {
-        if (journal_ != nullptr) journal_drop(p, DropReason::kOverload, now);
-        drop_counts_[static_cast<std::size_t>(DropReason::kOverload)]++;
         note_drop(p, DropReason::kOverload, now);
         return false;
       }
@@ -685,8 +671,6 @@ bool FlocQueue::enqueue_impl(Packet&& p, TimeSec now) {
         p.cap1 = caps.cap1;
       }
       if (q_.size() >= cfg_.buffer_packets) {
-        if (journal_ != nullptr) journal_drop(p, DropReason::kQueueFull, now);
-        drop_counts_[static_cast<std::size_t>(DropReason::kQueueFull)]++;
         note_drop(p, DropReason::kQueueFull, now);
         return false;
       }
@@ -695,8 +679,6 @@ bool FlocQueue::enqueue_impl(Packet&& p, TimeSec now) {
     case PacketType::kSynAck:
     case PacketType::kAck: {
       if (q_.size() >= cfg_.buffer_packets) {
-        if (journal_ != nullptr) journal_drop(p, DropReason::kQueueFull, now);
-        drop_counts_[static_cast<std::size_t>(DropReason::kQueueFull)]++;
         note_drop(p, DropReason::kQueueFull, now);
         return false;
       }
@@ -784,15 +766,13 @@ bool FlocQueue::admit_data(Packet& p, TimeSec now) {
         p.cap1 = caps.cap1;
         ++cap_reissues_;
         if (traced) tracer()->annotate(p.span.span, "cap", "reissued");
-        if (journal_ != nullptr) {
-          journal_->record(now, telemetry::EventKind::kCapReissue, "floc",
-                           std::string(), p.flow, 0.0);
+        if (journal() != nullptr) {
+          journal()->record(now, telemetry::EventKind::kCapReissue, "floc",
+                            std::string(), p.flow, 0.0);
         }
       } else {
         ++cap_violations_;
         if (traced) trace_verdict(p, agg, now, "drop");
-        if (journal_ != nullptr) journal_drop(p, DropReason::kCapability, now);
-        drop_counts_[static_cast<std::size_t>(DropReason::kCapability)]++;
         note_drop(p, DropReason::kCapability, now);
         return false;
       }
@@ -939,7 +919,7 @@ std::optional<Packet> FlocQueue::dequeue(TimeSec now) {
   Packet p = std::move(q_.front());
   q_.pop_front();
   ++dequeues_;
-  if (journal_ != nullptr) journal_mode(now);
+  if (journal() != nullptr) journal_mode(now);
   return p;
 }
 
@@ -950,6 +930,14 @@ void FlocQueue::reboot(TimeSec now, bool preserve_queue) {
   if (filter_) filter_ = std::make_unique<ScalableDropFilter>(cfg_.filter);
   if (!preserve_queue) {
     flushed_ += q_.size();
+    if (tracer() != nullptr) {
+      for (const Packet& p : q_) {
+        if (p.span.active()) {
+          tracer()->end_dropped(p.span.span, now, kSpanStatusFlushed,
+                                "flushed");
+        }
+      }
+    }
     q_.clear();
   }
   control_ticks_ = 0;
@@ -957,13 +945,13 @@ void FlocQueue::reboot(TimeSec now, bool preserve_queue) {
   recovery_until_ =
       now + cfg_.recovery_intervals * cfg_.control_interval;
   ++reboots_;
-  if (journal_ != nullptr) {
+  if (journal() != nullptr) {
     char detail[80];
     std::snprintf(detail, sizeof(detail),
                   "%s queue, recovery until t=%.3f",
                   preserve_queue ? "preserved" : "flushed", recovery_until_);
-    journal_->record(now, telemetry::EventKind::kReboot, "floc", detail,
-                     reboots_, static_cast<double>(flushed_));
+    journal()->record(now, telemetry::EventKind::kReboot, "floc", detail,
+                      reboots_, static_cast<double>(flushed_));
     recovery_pending_journal_ = true;
     journal_mode(now);  // a queue wipe can leave congested/flooding mode
   }
@@ -971,11 +959,11 @@ void FlocQueue::reboot(TimeSec now, bool preserve_queue) {
 
 void FlocQueue::rotate_secret(std::uint64_t new_secret, TimeSec now) {
   issuer_.rotate(new_secret, now, cfg_.control_interval);
-  if (journal_ != nullptr) {
+  if (journal() != nullptr) {
     char detail[64];
     std::snprintf(detail, sizeof(detail), "grace until t=%.3f",
                   now + cfg_.control_interval);
-    journal_->record(now, telemetry::EventKind::kKeyRotation, "floc", detail);
+    journal()->record(now, telemetry::EventKind::kKeyRotation, "floc", detail);
   }
 }
 
@@ -994,14 +982,14 @@ void FlocQueue::control(TimeSec now) {
   }
   ++control_ticks_;
 
-  if (journal_ != nullptr && recovery_pending_journal_ &&
+  if (journal() != nullptr && recovery_pending_journal_ &&
       now >= recovery_until_) {
     recovery_pending_journal_ = false;
-    journal_->record(now, telemetry::EventKind::kRecoveryEnd, "floc",
-                     cfg_.recovery_policy == RecoveryPolicy::kFailOpen
-                         ? "fail-open window over"
-                         : "fail-closed window over",
-                     reboots_);
+    journal()->record(now, telemetry::EventKind::kRecoveryEnd, "floc",
+                      cfg_.recovery_policy == RecoveryPolicy::kFailOpen
+                          ? "fail-open window over"
+                          : "fail-closed window over",
+                      reboots_);
   }
 
   // --- Expire idle flows; drop empty origin paths ------------------------
@@ -1188,11 +1176,11 @@ void FlocQueue::control(TimeSec now) {
       if (agg.calm_streak >= release_required) agg.attack = false;
     }
     if (agg.attack != was_attack) {
-      if (journal_ != nullptr) {
-        journal_->record(now,
-                         agg.attack ? telemetry::EventKind::kAttackLatch
-                                    : telemetry::EventKind::kAttackRelease,
-                         "floc", agg.id.to_string(), akey, agg_mtd);
+      if (journal() != nullptr) {
+        journal()->record(now,
+                          agg.attack ? telemetry::EventKind::kAttackLatch
+                                     : telemetry::EventKind::kAttackRelease,
+                          "floc", agg.id.to_string(), akey, agg_mtd);
       }
       if (cfg_.backoff_release) {
         auto poit = offense_.find(akey);
@@ -1216,10 +1204,10 @@ void FlocQueue::control(TimeSec now) {
               lambda_pkts > cfg_.backoff_lambda_factor *
                                 (c_pkts + 1.0 / detect_period)) {
             po.multiplier = std::min(cfg_.backoff_cap, po.multiplier * 2);
-            if (journal_ != nullptr) {
-              journal_->record(now, telemetry::EventKind::kBackoffEscalate,
-                               "floc", agg.id.to_string(), akey,
-                               static_cast<double>(po.multiplier));
+            if (journal() != nullptr) {
+              journal()->record(now, telemetry::EventKind::kBackoffEscalate,
+                                "floc", agg.id.to_string(), akey,
+                                static_cast<double>(po.multiplier));
             }
           }
           po.ever_latched = true;
@@ -1302,12 +1290,12 @@ void FlocQueue::control(TimeSec now) {
       Offender& o = it->second;
       if (o.blacklisted_until >= 0.0) {
         if (now >= o.blacklisted_until) {
-          if (journal_ != nullptr) {
+          if (journal() != nullptr) {
             char detail[32];
             std::snprintf(detail, sizeof(detail), "src=%u",
                           static_cast<unsigned>(it->first));
-            journal_->record(now, telemetry::EventKind::kBlacklistExpire,
-                             "floc", detail, it->first);
+            journal()->record(now, telemetry::EventKind::kBlacklistExpire,
+                              "floc", detail, it->first);
           }
           it = offenders_.erase(it);
         } else {
@@ -1357,7 +1345,7 @@ void FlocQueue::control(TimeSec now) {
     // (hash collision with an innocent key) cannot haunt a path forever.
     relatch_.rotate();
   }
-  if (journal_ != nullptr && state_evictions() != journal_evict_mark_) {
+  if (journal() != nullptr && state_evictions() != journal_evict_mark_) {
     // Batched per control tick — per-victim events would let an eviction
     // storm flood the journal ring.
     char detail[128];
@@ -1367,9 +1355,9 @@ void FlocQueue::control(TimeSec now) {
                   static_cast<unsigned long long>(evict_flows_),
                   static_cast<unsigned long long>(evict_offense_),
                   static_cast<unsigned long long>(evict_offenders_));
-    journal_->record(now, telemetry::EventKind::kStateEvict, "floc", detail,
-                     state_evictions() - journal_evict_mark_,
-                     state_occupancy());
+    journal()->record(now, telemetry::EventKind::kStateEvict, "floc", detail,
+                      state_evictions() - journal_evict_mark_,
+                      state_occupancy());
     journal_evict_mark_ = state_evictions();
   }
 }
@@ -1379,21 +1367,21 @@ void FlocQueue::update_overload(TimeSec now) {
   if (!overloaded_ && occ >= cfg_.overload_enter) {
     overloaded_ = true;
     ++overload_entries_;
-    if (journal_ != nullptr) {
+    if (journal() != nullptr) {
       char detail[96];
       std::snprintf(detail, sizeof(detail),
                     "occupancy=%.3f origins=%zu offense=%zu offenders=%zu",
                     occ, origins_.size(), offense_.size(), offenders_.size());
-      journal_->record(now, telemetry::EventKind::kOverloadEnter, "floc",
-                       detail, overload_entries_, occ);
+      journal()->record(now, telemetry::EventKind::kOverloadEnter, "floc",
+                        detail, overload_entries_, occ);
     }
   } else if (overloaded_ && occ <= cfg_.overload_exit) {
     overloaded_ = false;
-    if (journal_ != nullptr) {
+    if (journal() != nullptr) {
       char detail[48];
       std::snprintf(detail, sizeof(detail), "occupancy=%.3f", occ);
-      journal_->record(now, telemetry::EventKind::kOverloadExit, "floc",
-                       detail, overload_entries_, occ);
+      journal()->record(now, telemetry::EventKind::kOverloadExit, "floc",
+                        detail, overload_entries_, occ);
     }
   }
 }
@@ -1480,14 +1468,7 @@ bool FlocQueue::audit(TimeSec now, std::string* why) const {
                 std::to_string(flushed_) + " + queued " +
                 std::to_string(q_.size()));
   }
-  // (4) Drop ledger: the per-reason counters sum to the total drop count.
-  std::uint64_t by_reason = 0;
-  for (std::uint64_t c : drop_counts_) by_reason += c;
-  if (by_reason != drops()) {
-    return fail("drop reasons sum " + std::to_string(by_reason) +
-                " != total drops " + std::to_string(drops()));
-  }
-  // (5) State budgets hold: enforced-before-insert means a table can never
+  // (4) State budgets hold: enforced-before-insert means a table can never
   // exceed its capacity, at any instant. Aggregates are bounded derivatively
   // (rebuilt from live origins each tick, erased when their last member
   // evicts), so they can exceed the origin capacity only by the origins

@@ -235,9 +235,6 @@ class FlocQueue : public QueueDisc {
   std::size_t path_flow_count(const PathId& origin) const;
   const CapabilityIssuer& issuer() const { return issuer_; }
 
-  std::uint64_t drops_by_reason(DropReason r) const {
-    return drop_counts_[static_cast<std::size_t>(r)];
-  }
   std::uint64_t capability_violations() const { return cap_violations_; }
 
   // --- Hardening introspection (tests, benches) --------------------------
@@ -293,13 +290,13 @@ class FlocQueue : public QueueDisc {
   std::uint64_t dequeues() const { return dequeues_; }
 
   // SimMonitor invariants: byte accounting, token bounds, packet
-  // conservation, drop-ledger consistency.
+  // conservation, state budgets.
   bool audit(TimeSec now, std::string* why) const override;
 
   // Force a control-loop pass at `now` (tests).
   void run_control(TimeSec now) {
     control(now);
-    if (journal_ != nullptr) journal_mode(now);
+    if (journal() != nullptr) journal_mode(now);
   }
 
   // --- Telemetry (src/telemetry) -----------------------------------------
@@ -312,7 +309,8 @@ class FlocQueue : public QueueDisc {
   void attach_telemetry(telemetry::Telemetry* t,
                         const std::string& prefix = "floc");
 
-  // Base queue gauges plus the state-size gauges ("floc.origins",
+  // Shared queue gauges (the per-reason drop gauges come from
+  // attach_telemetry) plus the state-size gauges ("floc.origins",
   // "floc.aggregates", "floc.offense", "floc.offenders", "flow_table.size"),
   // so table growth is visible in every bench CSV that samples the queue.
   void register_metrics(telemetry::MetricRegistry& reg,
@@ -397,9 +395,8 @@ class FlocQueue : public QueueDisc {
 
   bool enqueue_impl(Packet&& p, TimeSec now);
   bool admit_data(Packet& p, TimeSec now);
-  // Journal slow paths; callers gate on `journal_ != nullptr`.
+  // Journal slow path; callers gate on `journal() != nullptr`.
   void journal_mode(TimeSec now);
-  void journal_drop(const Packet& p, DropReason r, TimeSec now);
   // Span-annotation slow path: record the admission verdict (mode, verdict,
   // token-bucket fill, path) on the packet's queue span. Callers gate on
   // `tracer() != nullptr && p.span.active()`.
@@ -448,7 +445,6 @@ class FlocQueue : public QueueDisc {
 
   TimeSec next_control_ = 0.0;
   int control_ticks_ = 0;
-  std::uint64_t drop_counts_[kDropReasonCount] = {};
   std::uint64_t cap_violations_ = 0;
   std::uint64_t cap_reissues_ = 0;
   std::uint64_t dequeues_ = 0;
@@ -456,8 +452,8 @@ class FlocQueue : public QueueDisc {
   std::uint64_t reboots_ = 0;
   TimeSec recovery_until_ = -1.0;
 
-  // Telemetry (null = off; the hot path must stay allocation-free then).
-  telemetry::EventJournal* journal_ = nullptr;
+  // Telemetry (the journal lives in the base; null = off, and the hot path
+  // must stay allocation-free then).
   Mode last_mode_ = Mode::kUncongested;
   bool recovery_pending_journal_ = false;
 

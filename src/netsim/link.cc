@@ -58,7 +58,16 @@ void Link::set_up(bool up, DownQueuePolicy policy) {
   up_ = up;
   if (!up_) {
     if (policy == DownQueuePolicy::kDrain) {
-      while (queue_->dequeue(sim_->now())) ++down_drops_;
+      const TimeSec now = sim_->now();
+      while (std::optional<Packet> p = queue_->dequeue(now)) {
+        ++down_drops_;
+        // Not a queue verdict, so no DropReason: end the residency span with
+        // the link-down status instead of leaving it open.
+        if (tracer_ != nullptr && p->span.active()) {
+          tracer_->end_dropped(p->span.span, now, kSpanStatusLinkDown,
+                               "link-down");
+        }
+      }
     }
     return;
   }

@@ -1,10 +1,25 @@
 #include "netsim/queue_disc.h"
 
+#include "telemetry/event_journal.h"
 #include "telemetry/metrics.h"
 #include "telemetry/tracing.h"
 #include "util/json.h"
 
 namespace floc {
+
+std::uint64_t QueueDisc::drops() const {
+  std::uint64_t total = 0;
+  for (const std::uint64_t n : by_reason_) total += n;
+  return total;
+}
+
+void QueueDisc::log_drop(const Packet& p, DropReason r, TimeSec now) {
+  // FlocQueue is the only discipline that journals; every record it writes
+  // names the "floc" component.
+  journal_->record(now, telemetry::EventKind::kDrop, "floc",
+                   std::string(), static_cast<std::uint64_t>(r),
+                   static_cast<double>(p.size_bytes));
+}
 
 void QueueDisc::trace_drop(const Packet& p, DropReason r, TimeSec now) {
   // Status 0 means "completed normally", so shift the ordinal by one.
@@ -14,6 +29,12 @@ void QueueDisc::trace_drop(const Packet& p, DropReason r, TimeSec now) {
 
 void QueueDisc::register_metrics(telemetry::MetricRegistry& reg,
                                  const std::string& prefix) const {
+  register_queue_gauges(reg, prefix);
+  register_drop_gauges(reg, prefix);
+}
+
+void QueueDisc::register_queue_gauges(telemetry::MetricRegistry& reg,
+                                      const std::string& prefix) const {
   reg.gauge_fn(prefix + ".packets",
                [this] { return static_cast<double>(packet_count()); });
   reg.gauge_fn(prefix + ".bytes",
@@ -22,6 +43,16 @@ void QueueDisc::register_metrics(telemetry::MetricRegistry& reg,
                [this] { return static_cast<double>(drops()); });
   reg.gauge_fn(prefix + ".admissions",
                [this] { return static_cast<double>(admissions()); });
+}
+
+void QueueDisc::register_drop_gauges(telemetry::MetricRegistry& reg,
+                                     const std::string& prefix) const {
+  for (std::size_t i = 0; i < kDropReasonCount; ++i) {
+    const DropReason r = static_cast<DropReason>(i);
+    reg.gauge_fn(prefix + ".drops." + to_string(r), [this, r] {
+      return static_cast<double>(drops_by_reason(r));
+    });
+  }
 }
 
 void QueueDisc::snapshot_state(json::JsonWriter& w, TimeSec now) const {

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -20,6 +19,7 @@ namespace json {
 class JsonWriter;
 }
 namespace telemetry {
+class EventJournal;
 class MetricRegistry;
 class Tracer;
 }
@@ -37,6 +37,13 @@ enum class DropReason : std::uint8_t {
 };
 inline constexpr std::size_t kDropReasonCount = 8;
 
+// Span status codes for packets that end their queue residency without a
+// queue verdict (docs/INTERNALS.md, "Drop ledger"): discarded by a downed
+// link's drain, or flushed by a router reboot. Verdict drops use the
+// DropReason ordinal + 1, so these sit just above that range.
+inline constexpr std::uint32_t kSpanStatusLinkDown = kDropReasonCount + 1;
+inline constexpr std::uint32_t kSpanStatusFlushed = kDropReasonCount + 2;
+
 const char* to_string(DropReason r);
 // Inverse of to_string; returns false (and leaves *out alone) for unknown
 // names. Round-tripped exhaustively in tests.
@@ -44,12 +51,10 @@ bool from_string(const std::string& name, DropReason* out);
 
 class QueueDisc {
  public:
-  using DropHandler = std::function<void(const Packet&, DropReason, TimeSec)>;
-
   virtual ~QueueDisc() = default;
 
   // Offer a packet at time `now`; returns true if buffered, false if dropped.
-  // Implementations must invoke the drop handler (if set) on every drop.
+  // Implementations must record every drop through note_drop().
   virtual bool enqueue(Packet&& p, TimeSec now) = 0;
 
   // Next packet to transmit, or nullopt if empty.
@@ -68,10 +73,10 @@ class QueueDisc {
     return true;
   }
 
-  // Publish the discipline's state as polled gauges under `prefix`
-  // ("<prefix>.packets", ".bytes", ".drops", ".admissions"); overrides add
-  // scheme-specific gauges on top. Registration-time only — nothing on the
-  // packet path.
+  // Publish the discipline's state as polled gauges under `prefix`: the
+  // shared queue gauges, then (register_drop_gauges) one per DropReason.
+  // Overrides add scheme-specific gauges between the two. Registration-time
+  // only — nothing on the packet path.
   virtual void register_metrics(telemetry::MetricRegistry& reg,
                                 const std::string& prefix) const;
 
@@ -85,33 +90,50 @@ class QueueDisc {
   // byte-identical across --jobs (see docs/INTERNALS.md).
   virtual void snapshot_state(json::JsonWriter& w, TimeSec now) const;
 
-  void set_drop_handler(DropHandler h) { drop_handler_ = std::move(h); }
-
   // Attach causal span tracing. A traced drop (any scheme, any reason)
-  // terminates the packet's queue span with the DropReason — this base-class
-  // hook is the only tracing touchpoint the baseline disciplines need.
-  // Virtual so decorators can propagate the tracer to their inner queue.
-  virtual void set_tracer(telemetry::Tracer* tracer) { tracer_ = tracer; }
+  // terminates the packet's queue span with the DropReason — note_drop() is
+  // the only tracing touchpoint the baseline disciplines need.
+  void set_tracer(telemetry::Tracer* tracer) { tracer_ = tracer; }
 
-  std::uint64_t drops() const { return drops_; }
+  // The drop ledger: note_drop() is the only writer of these counters.
+  std::uint64_t drops() const;
+  std::uint64_t drops_by_reason(DropReason r) const {
+    return by_reason_[static_cast<std::size_t>(r)];
+  }
   std::uint64_t admissions() const { return admissions_; }
 
  protected:
+  // Record one drop: count it by reason, journal it (when a journal is
+  // attached) and end its queue span with status = reason ordinal + 1 (when
+  // traced). Every discipline's every drop goes through here.
   void note_drop(const Packet& p, DropReason r, TimeSec now) {
-    ++drops_;
+    ++by_reason_[static_cast<std::size_t>(r)];
+    if (journal_ != nullptr) log_drop(p, r, now);
     if (tracer_ != nullptr && p.span.active()) trace_drop(p, r, now);
-    if (drop_handler_) drop_handler_(p, r, now);
   }
   void note_admit() { ++admissions_; }
 
+  // "<prefix>.packets", ".bytes", ".drops" (total), ".admissions".
+  void register_queue_gauges(telemetry::MetricRegistry& reg,
+                             const std::string& prefix) const;
+  // "<prefix>.drops.<reason>" for every DropReason, in ordinal order.
+  void register_drop_gauges(telemetry::MetricRegistry& reg,
+                            const std::string& prefix) const;
+
+  // Journal every drop as a kDrop event (a = DropReason ordinal, value =
+  // packet bytes). Null detaches.
+  void set_journal(telemetry::EventJournal* journal) { journal_ = journal; }
+  telemetry::EventJournal* journal() const { return journal_; }
   telemetry::Tracer* tracer() const { return tracer_; }
 
  private:
-  void trace_drop(const Packet& p, DropReason r, TimeSec now);  // out-of-line
+  // Out-of-line slow paths; callers gate on the pointer.
+  void log_drop(const Packet& p, DropReason r, TimeSec now);
+  void trace_drop(const Packet& p, DropReason r, TimeSec now);
 
-  DropHandler drop_handler_;
+  telemetry::EventJournal* journal_ = nullptr;
   telemetry::Tracer* tracer_ = nullptr;
-  std::uint64_t drops_ = 0;
+  std::uint64_t by_reason_[kDropReasonCount] = {};
   std::uint64_t admissions_ = 0;
 };
 

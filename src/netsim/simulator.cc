@@ -1,24 +1,8 @@
 #include "netsim/simulator.h"
 
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 
 namespace floc {
-
-namespace {
-
-// 0 = unset (consult FLOC_SIM_ENGINE / fall back to kWheel), else 1 + enum.
-std::atomic<int> g_default_engine{0};
-
-SimEngine engine_from_env() {
-  const char* v = std::getenv("FLOC_SIM_ENGINE");
-  if (v != nullptr && std::strcmp(v, "heap") == 0) return SimEngine::kHeap;
-  return SimEngine::kWheel;
-}
-
-}  // namespace
 
 const char* to_string(SimEngine e) {
   switch (e) {
@@ -28,17 +12,6 @@ const char* to_string(SimEngine e) {
       return "wheel";
   }
   return "?";
-}
-
-SimEngine Simulator::default_engine() {
-  const int v = g_default_engine.load(std::memory_order_relaxed);
-  if (v != 0) return static_cast<SimEngine>(v - 1);
-  return engine_from_env();
-}
-
-void Simulator::set_default_engine(SimEngine engine) {
-  g_default_engine.store(1 + static_cast<int>(engine),
-                         std::memory_order_relaxed);
 }
 
 Simulator::Simulator(SimEngine engine) : engine_kind_(engine) {

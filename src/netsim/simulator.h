@@ -8,8 +8,8 @@
 // zero heap allocations (arena-recycled intrusive nodes + small-buffer
 // inline callbacks); the seed binary heap survives as the reference engine,
 // and the differential harness proves the two produce identical event
-// orderings. Select per-instance via the constructor, process-wide via
-// set_default_engine(), or externally via FLOC_SIM_ENGINE=heap|wheel.
+// orderings. A Simulator runs the wheel unless its constructor is handed
+// another engine.
 //
 // Observability: set_profiler() attaches a steady-clock hook that records the
 // wall-clock nanoseconds spent inside each event callback into a telemetry
@@ -51,17 +51,11 @@ class Simulator {
     explicit operator bool() const { return node != nullptr; }
   };
 
-  explicit Simulator(SimEngine engine = default_engine());
+  explicit Simulator(SimEngine engine = SimEngine::kWheel);
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   SimEngine engine() const { return engine_kind_; }
-
-  // Engine used by default-constructed Simulators (TreeScenario worlds,
-  // benches, tests). Resolution order: set_default_engine() if called,
-  // else FLOC_SIM_ENGINE=heap|wheel from the environment, else kWheel.
-  static SimEngine default_engine();
-  static void set_default_engine(SimEngine engine);
 
   TimeSec now() const { return now_; }
 

@@ -104,7 +104,7 @@ struct TreeScenarioConfig {
   std::uint64_t seed = 1;
   // Event-queue engine for the scenario's Simulator (golden-trace identity
   // across engines is pinned by the runner determinism tests).
-  SimEngine engine = Simulator::default_engine();
+  SimEngine engine = SimEngine::kWheel;
 };
 
 class TreeScenario {

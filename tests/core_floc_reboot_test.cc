@@ -6,6 +6,7 @@
 #include <string>
 
 #include "core/floc_queue.h"
+#include "telemetry/tracing.h"
 
 namespace floc {
 namespace {
@@ -98,6 +99,41 @@ TEST(FlocReboot, PreserveQueueKeepsBufferedPackets) {
   // The surviving packets still drain normally.
   for (std::size_t i = 0; i < pkts; ++i) EXPECT_TRUE(q.dequeue(1.1).has_value());
   EXPECT_TRUE(q.empty());
+}
+
+// A flushing reboot discards the buffered packets outside any queue verdict:
+// each traced one ends its queue span with the flushed status instead of
+// leaking it, while a preserving reboot leaves the spans open for dequeue.
+TEST(FlocReboot, FlushClosesTracedSpans) {
+  for (const bool preserve : {false, true}) {
+    FlocQueue q(churn_cfg());
+    telemetry::Tracer tracer;
+    q.set_tracer(&tracer);
+    const PathId path = PathId::of({1});
+    for (int i = 0; i < 5; ++i) {
+      Packet p = data(1, path, 1);
+      const telemetry::SpanId id = tracer.begin(
+          0.001 * i, p.flow, 0, telemetry::SpanKind::kQueue, 0, 0);
+      p.span = SpanContext{p.flow, id, 0};
+      q.enqueue(std::move(p), 0.001 * i);
+    }
+    const std::size_t buffered = q.packet_count();
+    ASSERT_GT(buffered, 0u);
+    ASSERT_EQ(tracer.open_count(), buffered);
+
+    q.reboot(1.0, preserve);
+
+    std::size_t flushed = 0;
+    for (const telemetry::Span& sp : tracer.spans()) {
+      if (sp.status == kSpanStatusFlushed) {
+        ++flushed;
+        EXPECT_NE(sp.annot.find("drop=flushed"), std::string::npos);
+      }
+    }
+    EXPECT_EQ(flushed, preserve ? 0u : buffered) << "preserve=" << preserve;
+    EXPECT_EQ(tracer.open_count(), preserve ? buffered : 0u)
+        << "preserve=" << preserve;
+  }
 }
 
 TEST(FlocReboot, AttackRelatchesWithinBoundedIntervals) {

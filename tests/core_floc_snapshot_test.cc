@@ -1,7 +1,7 @@
 // QueueDisc::snapshot_state: the FlocQueue dump names latched attack paths
 // with their token-bucket levels, redacts the capability secret, bounds the
 // per-origin flow listing, and every baseline emits a minimal parseable
-// dump; TracedQueue delegates to the wrapped queue.
+// dump.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -14,7 +14,6 @@
 #include "baselines/red_pd.h"
 #include "baselines/red_queue.h"
 #include "core/floc_queue.h"
-#include "netsim/trace.h"
 #include "util/json.h"
 
 namespace floc {
@@ -216,19 +215,6 @@ TEST(BaselineSnapshot, AllBaselinesEmitParseableDumps) {
     EXPECT_NE(v.get("drops"), nullptr) << c.scheme;
     EXPECT_NE(v.get("admissions"), nullptr) << c.scheme;
   }
-}
-
-TEST(BaselineSnapshot, TracedQueueDelegatesToInner) {
-  auto inner = std::make_unique<RateLimiterQueue>(10);
-  RateLimiterQueue* raw = inner.get();
-  TraceRecorder rec;
-  TracedQueue traced(std::move(inner), &rec);
-  traced.enqueue(data(1, PathId::of({1})), 0.0);
-  json::JsonWriter direct;
-  raw->snapshot_state(direct, 0.01);
-  json::JsonWriter via;
-  traced.snapshot_state(via, 0.01);
-  EXPECT_EQ(via.str(), direct.str());
 }
 
 }  // namespace

@@ -65,6 +65,38 @@ TEST(FaultPlan, LinkFlapConservesPackets) {
   // resumed after recovery (the t=1.6..2.9 packets all arrive).
   EXPECT_EQ(sink.got.size(), 25u);
   EXPECT_GT(sim.now(), 2.9);
+
+  // Traced, with a drain flap at 0.35 s: the packet then serializing still
+  // delivers, and each of the 16 packets discarded from the downed link's
+  // buffer ends its queue span with the link-down status — none stays open.
+  Simulator tsim;
+  Network tnet(&tsim);
+  Host* ta = tnet.add_host("a", 1);
+  Host* tb = tnet.add_host("b", 2);
+  auto td = tnet.connect(ta, tb, kbps(80), 0.0,
+                         std::make_unique<DropTailQueue>(50));
+  tnet.build_routes();
+  Collector tsink;
+  tb->set_default_agent(&tsink);
+  telemetry::Tracer tracer;
+  td.ab->set_tracer(&tracer);
+  for (int i = 0; i < 20; ++i) td.ab->send(data_to(tb->addr()));
+  FaultPlan tplan;
+  tplan.add_link_flap(td.ab, 0.35, 0.5, Link::DownQueuePolicy::kDrain);
+  tplan.install(&tsim);
+  tsim.run();
+
+  EXPECT_EQ(td.ab->down_drops(), 16u);
+  EXPECT_EQ(tsink.got.size() + td.ab->down_drops(), 20u);
+  EXPECT_EQ(tracer.open_count(), 0u);
+  std::size_t link_down = 0;
+  for (const telemetry::Span& sp : tracer.spans()) {
+    if (sp.status == kSpanStatusLinkDown) {
+      ++link_down;
+      EXPECT_NE(sp.annot.find("drop=link-down"), std::string::npos);
+    }
+  }
+  EXPECT_EQ(link_down, 16u);
 }
 
 TEST(FaultPlan, DrainPolicyLosesBufferedPackets) {

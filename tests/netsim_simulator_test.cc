@@ -203,18 +203,11 @@ INSTANTIATE_TEST_SUITE_P(Engines, SimulatorContract,
                          });
 
 TEST(SimEngineSelection, DefaultIsWheelAndEnvAndSetterOverride) {
-  // Note: FLOC_SIM_ENGINE is consulted only when no programmatic default is
-  // set; tests restore the programmatic default to wheel when done.
+  // No process-wide setting exists: a default Simulator is always wheel.
   EXPECT_EQ(std::string(to_string(SimEngine::kHeap)), "heap");
   EXPECT_EQ(std::string(to_string(SimEngine::kWheel)), "wheel");
   Simulator def;
-  EXPECT_EQ(def.engine(), Simulator::default_engine());
-  Simulator::set_default_engine(SimEngine::kHeap);
-  EXPECT_EQ(Simulator::default_engine(), SimEngine::kHeap);
-  Simulator heap_default;
-  EXPECT_EQ(heap_default.engine(), SimEngine::kHeap);
-  Simulator::set_default_engine(SimEngine::kWheel);
-  EXPECT_EQ(Simulator::default_engine(), SimEngine::kWheel);
+  EXPECT_EQ(def.engine(), SimEngine::kWheel);
 }
 
 }  // namespace

@@ -46,7 +46,7 @@ struct CaseHashes {
 // A shrunk fig06 case: one fully isolated world per run — own Simulator +
 // Rng (seeded from the derived per-run seed), own Telemetry and Tracer.
 CaseHashes run_case(AttackType attack, std::uint64_t seed,
-                    SimEngine engine = Simulator::default_engine()) {
+                    SimEngine engine = SimEngine::kWheel) {
   TreeScenarioConfig cfg;
   cfg.scale = 0.05;
   cfg.duration = 12.0;
@@ -82,7 +82,7 @@ CaseHashes run_case(AttackType attack, std::uint64_t seed,
 }
 
 std::vector<CaseHashes> sweep(int jobs,
-                              SimEngine engine = Simulator::default_engine()) {
+                              SimEngine engine = SimEngine::kWheel) {
   const AttackType attacks[] = {AttackType::kTcpPopulation, AttackType::kCbr,
                                 AttackType::kShrew};
   return runner::run_indexed<CaseHashes>(jobs, 3, [&](std::size_t i) {

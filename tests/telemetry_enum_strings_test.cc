@@ -1,16 +1,15 @@
 // Exhaustive to_string/from_string round-trips for every observability enum:
-// DropReason, TraceEvent, journal EventKind, tracing SpanKind, and the
-// scenario AttackType. Each enum
-// carries a k*Count constant; iterating [0, count) catches a newly added
-// enumerator whose to_string case was forgotten (it would print "?" and fail
-// the round-trip), and unknown names must be rejected without touching *out.
+// DropReason, journal EventKind, tracing SpanKind, and the scenario
+// AttackType. Each enum carries a k*Count constant; iterating [0, count)
+// catches a newly added enumerator whose to_string case was forgotten (it
+// would print "?" and fail the round-trip), and unknown names must be
+// rejected without touching *out.
 #include <set>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "netsim/queue_disc.h"
-#include "netsim/trace.h"
 #include "telemetry/event_journal.h"
 #include "telemetry/tracing.h"
 #include "topology/tree_scenario.h"
@@ -48,12 +47,6 @@ TEST(EnumStrings, DropReasonRoundTrips) {
   check_round_trip<DropReason>(
       kDropReasonCount, [](DropReason r) { return to_string(r); },
       [](const std::string& s, DropReason* out) { return from_string(s, out); });
-}
-
-TEST(EnumStrings, TraceEventRoundTrips) {
-  check_round_trip<TraceEvent>(
-      kTraceEventCount, [](TraceEvent e) { return to_string(e); },
-      [](const std::string& s, TraceEvent* out) { return from_string(s, out); });
 }
 
 TEST(EnumStrings, EventKindRoundTrips) {
