@@ -23,10 +23,17 @@
 namespace floc {
 namespace {
 
+// gtest prints a parameter without a PrintTo as its raw bytes, and ctest
+// takes that dump into each test's name. `filler` occupies the four bytes the
+// compiler would otherwise leave as padding between the 4-byte enum and the
+// seed, so those bytes are always zero instead of leftover heap contents that
+// change from run to run with address randomisation.
 struct FuzzCase {
   DefenseScheme scheme;
+  std::uint32_t filler = 0;
   std::uint64_t seed;
 };
+static_assert(sizeof(FuzzCase) == 16, "FuzzCase must have no padding");
 
 class QueueFuzz : public ::testing::TestWithParam<FuzzCase> {};
 
@@ -563,7 +570,9 @@ std::vector<FuzzCase> all_cases() {
        {DefenseScheme::kDropTail, DefenseScheme::kRed, DefenseScheme::kRedPd,
         DefenseScheme::kPushback, DefenseScheme::kPriorityFair,
         DefenseScheme::kDrr, DefenseScheme::kFloc}) {
-    for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) out.push_back({s, seed});
+    for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+      out.push_back({.scheme = s, .seed = seed});
+    }
   }
   return out;
 }
