@@ -56,6 +56,7 @@ void SimMonitor::attach(Simulator* sim, TimeSec period, TimeSec until) {
       }
     }
   };
+  static_assert(Simulator::Callback::fits_inline<Tick>());
   sim->schedule_in(period, Tick{this, sim, period, until});
 }
 

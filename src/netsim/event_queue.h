@@ -3,10 +3,11 @@
 //
 // Both engines store the SAME arena-backed intrusive EventNode and must
 // produce the SAME pop order: strictly (time, seq) — seq is the insertion
-// sequence number, so same-timestamp events fire FIFO. That contract is
-// what the differential harness (tests/netsim_event_queue_differential_
-// test.cc) fuzzes and what keeps golden traces byte-identical across the
-// engine switch.
+// sequence number (or one reserved earlier, which may sort below nodes
+// already queued at the same time), so same-timestamp events fire FIFO by
+// seq. That contract is what the differential harness
+// (tests/netsim_event_queue_differential_test.cc) fuzzes and what keeps
+// golden traces byte-identical across the engine switch.
 //
 //  * HeapEventQueue — the seed engine's std::priority_queue, now over node
 //    POINTERS so pop moves nothing (the seed engine copied the whole
@@ -38,11 +39,13 @@
 
 namespace floc {
 
-// Sized for the largest hot capture in the repo: Link's delivery lambda
-// carries a Packet (144 bytes) plus the link pointer. Larger captures still
-// work via InlineFunction's heap cell; they just are not zero-alloc
-// (link.cc static_asserts its lambdas fit).
-inline constexpr std::size_t kSimCallbackInlineBytes = 160;
+// Sized for the largest recurring captures in the repo: six words, as in
+// FlightRecorder's sampling timer. Per-packet events capture at most a
+// pointer and a word (Link keeps in-flight packets on its wire FIFO, not in
+// events), and SimMonitor's Tick is 32 bytes. Larger captures still work via
+// InlineFunction's heap cell; they just are not zero-alloc (link.cc and
+// sim_monitor.cc static_assert that their captures fit).
+inline constexpr std::size_t kSimCallbackInlineBytes = 48;
 
 using SimCallback = InlineFunction<void(), kSimCallbackInlineBytes>;
 
@@ -53,7 +56,7 @@ struct EventNode {
   EventNode* next = nullptr;
   std::uint64_t tick = 0;  // time quantized by WheelEventQueue::tick_of
   TimeSec time = 0.0;      // exact requested (post-clamp) fire time
-  std::uint64_t seq = 0;   // insertion order; FIFO tie-break within a time
+  std::uint64_t seq = 0;   // insertion (or reserved) order; tie-break
   std::uint64_t gen = 0;   // bumped on release; validates TimerHandles
   bool cancelled = false;  // lazy-cancel flag; popped nodes are discarded
   SimCallback cb;

@@ -39,7 +39,23 @@ void Link::send(Packet&& p) {
     telemetry::ScopedTimer timer(prof_enqueue_);
     admitted = queue_->enqueue(std::move(p), sim_->now());
   }
-  if (admitted) try_transmit();
+  if (!admitted) return;
+  if (transmitting()) {
+    schedule_tx_done();
+  } else {
+    try_transmit();
+  }
+}
+
+void Link::schedule_tx_done() {
+  if (tx_done_scheduled_) return;
+  tx_done_scheduled_ = true;
+  auto tx_done = [this] {
+    tx_done_scheduled_ = false;
+    try_transmit();
+  };
+  static_assert(Simulator::Callback::fits_inline<decltype(tx_done)>());
+  sim_->schedule_reserved(busy_until_, tx_done_seq_, tx_done);
 }
 
 void Link::trace_enqueue(Packet& p) {
@@ -75,34 +91,35 @@ void Link::set_up(bool up, DownQueuePolicy policy) {
 }
 
 void Link::try_transmit() {
-  if (busy_ || !up_) return;
+  if (!up_ || transmitting()) return;
   std::optional<Packet> pkt;
   {
     telemetry::ScopedTimer timer(prof_dequeue_);
     pkt = queue_->dequeue(sim_->now());
   }
   if (!pkt) return;
-  busy_ = true;
   if (tamper_) tamper_(*pkt);
   const TimeSec tx = transmission_time(pkt->size_bytes, bandwidth_);
   bytes_sent_ += static_cast<std::uint64_t>(pkt->size_bytes);
   ++packets_sent_;
   if (tracer_ != nullptr && pkt->span.active()) trace_transmit(*pkt, tx);
-  // Transmitter frees after serialization; the packet lands after the
-  // additional propagation delay.
-  sim_->schedule_in(tx, [this] {
-    busy_ = false;
-    try_transmit();
-  });
-  auto deliver = [this, p = std::move(*pkt)]() mutable {
-    to_->receive(std::move(p));
-  };
-  // The delivery lambda (this + a Packet by value) is the repo's largest
-  // per-packet capture; it must stay on the scheduler's zero-alloc inline
-  // path. If Packet grows past the inline budget, grow
-  // kSimCallbackInlineBytes with it.
-  static_assert(Simulator::Callback::fits_inline<decltype(deliver)>());
-  sim_->schedule_in(tx + delay_, std::move(deliver));
+  // The transmitter frees after serialization; the packet lands after the
+  // additional propagation delay. The tx-done slot is reserved before the
+  // delivery is scheduled, so no seq depends on whether the tx-done event
+  // is ever scheduled; it is scheduled only once a packet is waiting.
+  busy_until_ = sim_->now() + tx;
+  tx_done_seq_ = sim_->reserve_seq();
+  wire_.push_back(std::move(*pkt));
+  auto delivery = [this] { deliver(); };
+  static_assert(Simulator::Callback::fits_inline<decltype(delivery)>());
+  sim_->schedule_in(tx + delay_, delivery);
+  if (!queue_->empty()) schedule_tx_done();
+}
+
+void Link::deliver() {
+  Packet p = wire_.front();
+  wire_.pop_front();
+  to_->receive(std::move(p));
 }
 
 void Link::trace_transmit(Packet& p, TimeSec tx) {

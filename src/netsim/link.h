@@ -1,6 +1,15 @@
 // Unidirectional link: serialization at a fixed rate, propagation delay, and
 // an attached queue discipline at the egress port.
 //
+// Event cost: one delivery event per packet, plus a tx-done event only when
+// a packet is waiting as serialization ends. An idle hop's tx-done would
+// find the queue empty, so it is never scheduled; its (time, seq) slot is
+// reserved instead, so busy/free decisions and every other event's order
+// are exactly what they would be with the event present. Packets in flight
+// ride a per-link FIFO (the wire) rather than event captures: a link starts
+// a packet only after the previous one has serialized, so they land in
+// transmit order (see docs/INTERNALS.md, "Event engine").
+//
 // Links carry fault state for the fault-injection subsystem (src/faultsim):
 // a downed link drops every offered packet; on recovery transmission resumes
 // from the (optionally preserved) egress queue. A tamper hook lets fault
@@ -11,6 +20,7 @@
 #include <functional>
 #include <memory>
 
+#include "netsim/packet_fifo.h"
 #include "netsim/queue_disc.h"
 #include "netsim/simulator.h"
 #include "telemetry/metrics.h"
@@ -95,7 +105,14 @@ class Link {
   }
 
  private:
+  // Serialization of the last started packet is still in progress: the run
+  // has not reached the slot its tx-done event holds.
+  bool transmitting() const {
+    return !sim_->reached(busy_until_, tx_done_seq_);
+  }
+  void schedule_tx_done();
   void try_transmit();
+  void deliver();
   void trace_enqueue(Packet& p);
   void trace_transmit(Packet& p, TimeSec tx);
 
@@ -110,7 +127,14 @@ class Link {
   std::uint64_t trace_tid_ = 0;
   telemetry::Profiler::Section* prof_enqueue_ = nullptr;
   telemetry::Profiler::Section* prof_dequeue_ = nullptr;
-  bool busy_ = false;
+  // End of the current serialization and the seq reserved for its tx-done
+  // event; the initial slot lies before the start of time, so a fresh link
+  // is free.
+  TimeSec busy_until_ = -1.0;
+  std::uint64_t tx_done_seq_ = 0;
+  bool tx_done_scheduled_ = false;
+  // Packets serialized but not yet delivered, in transmit order.
+  PacketFifo wire_;
   bool up_ = true;
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t packets_sent_ = 0;

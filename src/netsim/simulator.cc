@@ -29,9 +29,14 @@ Simulator::TimerHandle Simulator::schedule_node(TimeSec t, EventNode* n) {
     ++late_;
     t = now_;
   }
+  return push_node(t, next_seq_++, n);
+}
+
+Simulator::TimerHandle Simulator::push_node(TimeSec t, std::uint64_t seq,
+                                            EventNode* n) {
   n->tick = WheelEventQueue::tick_of(t);
   n->time = t;
-  n->seq = next_seq_++;
+  n->seq = seq;
   n->cancelled = false;
   ++live_;
   queue_->push(n);
@@ -56,6 +61,19 @@ void Simulator::release_node(EventNode* n) {
   arena_.release(n);
 }
 
+void Simulator::fire(EventNode* n) {
+  now_ = n->time;
+  pos_seq_ = n->seq + 1;
+  --live_;
+  ++processed_;
+  // Move the callback out and recycle the node BEFORE dispatching: the
+  // callback may schedule (acquiring nodes) reentrantly, and this keeps
+  // steady-state arena occupancy at exactly the pending-event count.
+  Callback cb = std::move(n->cb);
+  release_node(n);
+  dispatch(cb);
+}
+
 void Simulator::dispatch(Callback& cb) {
   if (profile_ns_ == nullptr && profile_section_ == nullptr) {
     cb();
@@ -77,17 +95,14 @@ void Simulator::run_until(TimeSec t_end) {
       release_node(n);
       continue;
     }
-    now_ = n->time;
-    --live_;
-    ++processed_;
-    // Move the callback out and recycle the node BEFORE dispatching: the
-    // callback may schedule (acquiring nodes) reentrantly, and this keeps
-    // steady-state arena occupancy at exactly the pending-event count.
-    Callback cb = std::move(n->cb);
-    release_node(n);
-    dispatch(cb);
+    fire(n);
   }
-  if (live_ == 0 && now_ < t_end) now_ = t_end;
+  if (live_ == 0 && now_ < t_end) {
+    // Drained: every position up to t_end counts as passed, including
+    // reserved ones nothing was scheduled at.
+    now_ = t_end;
+    pos_seq_ = next_seq_;
+  }
 }
 
 void Simulator::run() {
@@ -96,12 +111,7 @@ void Simulator::run() {
       release_node(n);
       continue;
     }
-    now_ = n->time;
-    --live_;
-    ++processed_;
-    Callback cb = std::move(n->cb);
-    release_node(n);
-    dispatch(cb);
+    fire(n);
   }
 }
 

@@ -1,7 +1,8 @@
 // Discrete-event simulation core: a clock plus a time-ordered event queue.
 //
-// Events are arbitrary callbacks. Ties are broken by insertion order so runs
-// are fully deterministic.
+// Events are arbitrary callbacks. Ties are broken by insertion order (or by
+// a sequence number reserved earlier, see reserve_seq) so runs are fully
+// deterministic.
 //
 // Engines: the queue behind the clock is pluggable (SimEngine). The default
 // is a hierarchical timer wheel whose steady-state schedule->fire path does
@@ -18,6 +19,7 @@
 // default — the run loop pays one pointer-null test per event.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <type_traits>
@@ -66,19 +68,36 @@ class Simulator {
   // capture, zero heap allocations when it fits the inline buffer.
   template <typename F>
   TimerHandle schedule_at(TimeSec t, F&& cb) {
-    EventNode* n = arena_.acquire();
-    if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
-      n->cb = std::forward<F>(cb);
-    } else {
-      n->cb.assign(std::forward<F>(cb));
-    }
-    return schedule_node(t, n);
+    return schedule_node(t, node_with(std::forward<F>(cb)));
   }
 
   // Schedule `cb` after a delay of `dt` seconds.
   template <typename F>
   TimerHandle schedule_in(TimeSec dt, F&& cb) {
     return schedule_at(now_ + dt, std::forward<F>(cb));
+  }
+
+  // Reserved positions. A component that may or may not need an event at a
+  // known future time (Link's tx-done) takes the next insertion sequence
+  // number now, exactly as schedule_at would, and later either schedules at
+  // that (t, seq) position or lets it pass unused. Either way every other
+  // event keeps the seq it would have had, so eliding the event leaves the
+  // (time, seq) order of the rest untouched.
+  std::uint64_t reserve_seq() { return next_seq_++; }
+
+  // Schedule `cb` at (t, seq) for a `seq` from reserve_seq(). The position
+  // must not have been reached yet (so no clamping applies); it may sort
+  // before events already queued at the same time.
+  template <typename F>
+  TimerHandle schedule_reserved(TimeSec t, std::uint64_t seq, F&& cb) {
+    assert(!reached(t, seq) && "reserved position already passed");
+    return push_node(t, seq, node_with(std::forward<F>(cb)));
+  }
+
+  // True once the run has dispatched, or moved past, the (t, seq) position:
+  // an event scheduled there would already have fired (or be firing now).
+  bool reached(TimeSec t, std::uint64_t seq) const {
+    return t < now_ || (t == now_ && seq < pos_seq_);
   }
 
   // Cancel a scheduled event. True if the event was still pending (it will
@@ -125,12 +144,27 @@ class Simulator {
   std::size_t arena_nodes_in_use() const { return arena_.in_use(); }
 
  private:
+  template <typename F>
+  EventNode* node_with(F&& cb) {
+    EventNode* n = arena_.acquire();
+    if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
+      n->cb = std::forward<F>(cb);
+    } else {
+      n->cb.assign(std::forward<F>(cb));
+    }
+    return n;
+  }
   TimerHandle schedule_node(TimeSec t, EventNode* n);
+  TimerHandle push_node(TimeSec t, std::uint64_t seq, EventNode* n);
+  void fire(EventNode* n);
   void release_node(EventNode* n);
   void dispatch(Callback& cb);
 
   TimeSec now_ = 0.0;
   std::uint64_t next_seq_ = 0;
+  // One past the seq of the event being (or last) dispatched; 0 before the
+  // first dispatch. With now_ it is the run's (time, seq) position.
+  std::uint64_t pos_seq_ = 0;
   std::uint64_t processed_ = 0;
   std::uint64_t late_ = 0;
   std::uint64_t cancelled_ = 0;

@@ -4,12 +4,13 @@
 // 16 bytes), copies on priority_queue round-trips, and requires copyable
 // callables. The event engine's steady-state schedule->fire path must do
 // none of that, so InlineFunction stores the callable in an in-object
-// buffer sized for the repo's largest hot capture (a Link delivery lambda
-// carrying a Packet by value), is move-only (so capturing move-only state
+// buffer sized for the repo's largest recurring capture (six words; see
+// kSimCallbackInlineBytes), is move-only (so capturing move-only state
 // is legal and accidental copies are compile errors), and falls back to a
 // single heap cell only for captures that exceed the buffer — correctness
-// is never capacity-gated, only the zero-alloc guarantee is (pinned by a
-// static_assert at the Link call site and by the alloc-count tests).
+// is never capacity-gated, only the zero-alloc guarantee is (pinned by
+// static_asserts at the Link and SimMonitor call sites and by the
+// alloc-count tests).
 //
 // Not thread-safe; not const-callable — this is a single-threaded
 // simulator core primitive, not a general std::function replacement.

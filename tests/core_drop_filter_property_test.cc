@@ -1,5 +1,7 @@
 // Property sweep over ScalableDropFilter configurations: estimation
 // monotonicity and bounds must hold for any (arrays, bits, cadence).
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "core/drop_filter.h"
@@ -7,12 +9,18 @@
 namespace floc {
 namespace {
 
+// gtest prints a parameter without a PrintTo as its raw bytes, and ctest
+// takes that dump into each test's name. `filler` occupies the four bytes the
+// compiler would otherwise leave as tail padding, so they are always zero
+// instead of leftover stack contents that change from run to run.
 struct FilterCase {
   int arrays;
   int bits;
   double epoch;
   int rate_multiple;  // drops per epoch of the "hot" flow
+  std::int32_t filler = 0;
 };
+static_assert(sizeof(FilterCase) == 24, "FilterCase must have no padding");
 
 class DropFilterSweep : public ::testing::TestWithParam<FilterCase> {};
 

@@ -5,8 +5,9 @@
 // same final clock. This is the proof obligation for swapping the event
 // engine under every scenario in the repo: any divergence in (time, seq)
 // ordering, late-event clamping, lazy-cancel discard, calendar-horizon
-// refill, or reentrant same-tick scheduling shows up as a log mismatch with
-// the first divergent index.
+// refill, reentrant same-tick scheduling, or scheduling into reserved
+// (time, seq) slots shows up as a log mismatch with the first divergent
+// index.
 //
 // Volume contract (ISSUE 10): >= 32 seeds x 32'000 scripted
 // schedule/cancel/clamp/run ops = > 1e6 randomized ops, before counting the
@@ -14,6 +15,7 @@
 
 #include <array>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,12 +44,20 @@ struct Fire {
   bool operator==(const Fire& o) const { return id == o.id && at == o.at; }
 };
 
+// A reserved (t, seq) position that an event may later schedule into.
+struct Slot {
+  TimeSec t;
+  std::uint64_t seq;
+};
+
 // One simulator under test plus everything the script needs to drive it.
 struct Lane {
   explicit Lane(SimEngine e) : sim(e) {}
   Simulator sim;
   std::vector<Fire> log;
   std::vector<Simulator::TimerHandle> handles;  // index-aligned across lanes
+  std::vector<Slot> slots;  // open reserved slots, index-aligned too
+  std::size_t fills = 0;    // slots scheduled into
 };
 
 class Harness {
@@ -79,6 +89,43 @@ class Harness {
     const bool a = heap_.sim.cancel(heap_.handles[index]);
     const bool b = wheel_.sim.cancel(wheel_.handles[index]);
     ASSERT_EQ(a, b) << "cancel(" << index << ") diverged";
+  }
+
+  // Reserve the next seq on both lanes (they must hand out the same one).
+  std::uint64_t reserve() {
+    const std::uint64_t a = heap_.sim.reserve_seq();
+    const std::uint64_t b = wheel_.sim.reserve_seq();
+    EXPECT_EQ(a, b) << "reserve_seq diverged";
+    return a;
+  }
+
+  // Schedule event `id` into the reserved (t, seq) slot on both lanes.
+  void schedule_reserved(TimeSec t, std::uint64_t seq, std::uint64_t id,
+                         int depth) {
+    for (Lane* lane : lanes()) {
+      lane->handles.push_back(
+          lane->sim.schedule_reserved(t, seq, make_event(lane, id, depth)));
+    }
+  }
+
+  // Whether the run has reached (t, seq); the lanes must agree.
+  bool reached(TimeSec t, std::uint64_t seq) {
+    const bool a = heap_.sim.reached(t, seq);
+    const bool b = wheel_.sim.reached(t, seq);
+    EXPECT_EQ(a, b) << "reached(" << t << ", " << seq << ") diverged";
+    return a;
+  }
+
+  // Reserve a slot at `t` that events may fill when they fire (see
+  // make_event); unfilled slots simply pass.
+  void offer_slot(TimeSec t) {
+    const std::uint64_t seq = reserve();
+    for (Lane* lane : lanes()) lane->slots.push_back(Slot{t, seq});
+  }
+
+  // Fill the oldest open slot on both lanes, from outside any event.
+  void fill_slot(std::uint64_t id, int depth) {
+    for (Lane* lane : lanes()) fill_slot(lane, id, depth);
   }
 
   void run_until(TimeSec t) {
@@ -137,7 +184,25 @@ class Harness {
         lane->handles.push_back(lane->sim.schedule_in(
             dt, make_event(lane, kid_id, depth - 1)));
       }
+      // Reentrant fill: schedule into the oldest open reserved slot. It can
+      // lie in the tick being fired, below the seqs queued there.
+      if (h % 4 == 3) fill_slot(lane, id * 8 + 4, depth - 1);
     });
+  }
+
+  void fill_slot(Lane* lane, std::uint64_t id, int depth) {
+    auto& slots = lane->slots;
+    std::size_t i = 0;
+    while (i < slots.size() && lane->sim.reached(slots[i].t, slots[i].seq)) {
+      ++i;
+    }
+    slots.erase(slots.begin(), slots.begin() + static_cast<long>(i));
+    if (slots.empty()) return;
+    const Slot slot = slots.front();
+    slots.erase(slots.begin());
+    ++lane->fills;
+    lane->handles.push_back(lane->sim.schedule_reserved(
+        slot.t, slot.seq, make_event(lane, id, depth)));
   }
 
   Lane heap_;
@@ -218,6 +283,155 @@ std::vector<std::uint64_t> seeds() {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineDifferential,
                          ::testing::ValuesIn(seeds()));
+
+// Reserved slots in the randomized mix. Slots are reserved at short, mixed
+// offsets (same instant, sub-tick, a few wheel levels) so they tie with
+// queued events; they are filled from the script or reentrantly by firing
+// events, or left to pass unfilled. Bounded run slices keep the wheel's
+// peeked clock ahead of the Simulator clock, so fills land behind it too.
+constexpr int kSlotScriptOps = 8'000;
+constexpr int kSlotSeeds = 8;
+
+class ReservedSlotDifferential
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ReservedSlotDifferential, LockstepFuzz) {
+  Rng rng(GetParam());
+  Harness h;
+  std::uint64_t next_id = 1;
+  for (int op = 0; op < kSlotScriptOps; ++op) {
+    const double roll = rng.uniform();
+    const TimeSec now = h.heap().sim.now();
+    const double mag = rng.uniform();
+    TimeSec dt;
+    if (mag < 0.2) {
+      dt = 0.0;
+    } else if (mag < 0.5) {
+      dt = rng.uniform() * 1e-6;
+    } else if (mag < 0.9) {
+      dt = rng.uniform() * 0.01;
+    } else {
+      dt = rng.uniform() * 2.0;
+    }
+    if (roll < 0.35) {
+      h.schedule_in(dt, next_id++ * 8, rng.uniform() < 0.5 ? 2 : 0);
+    } else if (roll < 0.6) {
+      h.offer_slot(now + dt);
+    } else if (roll < 0.75) {
+      h.fill_slot(next_id++ * 8, 1);
+    } else {
+      h.run_until(now + rng.uniform() * rng.uniform() * 0.05);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  h.run();
+  if (::testing::Test::HasFatalFailure()) return;
+  EXPECT_EQ(h.heap().sim.pending_events(), 0u);
+  EXPECT_EQ(h.heap().log.size(), h.heap().sim.events_processed());
+  EXPECT_EQ(h.heap().fills, h.wheel().fills);
+  EXPECT_GT(h.heap().fills, 500u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReservedSlotDifferential,
+                         ::testing::Range<std::uint64_t>(1, kSlotSeeds + 1));
+
+// Directed: a slot reserved before other events were queued at the same
+// instant fires ahead of them, on both engines, whether it is filled from
+// outside the run or by an event firing earlier in the same tick.
+TEST(EngineDifferentialDirected, ReservedSlotSortsBelowQueuedSameTickEvents) {
+  Harness h;
+  const std::uint64_t early = h.reserve();
+  const std::uint64_t sub_tick = h.reserve();
+  h.schedule_at(1.0, 8, 0);
+  h.schedule_at(1.0 + 3e-7, 16, 0);  // same 1 µs tick, later in it
+  h.schedule_at(1.0, 24, 0);
+  EXPECT_FALSE(h.reached(1.0, early));
+  h.schedule_reserved(1.0, early, 32, 0);
+  h.schedule_reserved(1.0 + 3e-7, sub_tick, 40, 0);
+  h.run();
+  if (::testing::Test::HasFatalFailure()) return;
+  const std::uint64_t want[] = {32, 8, 24, 40, 16};
+  ASSERT_EQ(h.heap().log.size(), std::size(want));
+  for (std::size_t i = 0; i < std::size(want); ++i) {
+    EXPECT_EQ(h.heap().log[i].id, want[i]) << "position " << i;
+  }
+}
+
+TEST(EngineDifferentialDirected, ReentrantReservedFillMergesIntoFiringTick) {
+  // Two slots are reserved right after the first t=1 event was queued: one
+  // at t=1 (same instant), one at t=1+2e-7 (same 1 µs tick). That event
+  // fills both while its tick is being drained; each must still fire ahead
+  // of the events queued after the reservation at its own time.
+  Simulator heap(SimEngine::kHeap);
+  Simulator wheel(SimEngine::kWheel);
+  for (Simulator* sim : {&heap, &wheel}) {
+    std::vector<int> fired;
+    std::uint64_t same_instant = 0;
+    std::uint64_t same_tick = 0;
+    const std::uint64_t first = 0;  // the seq of the first event below
+    sim->schedule_at(1.0, [&] {
+      fired.push_back(1);
+      EXPECT_TRUE(sim->reached(1.0, first));
+      EXPECT_FALSE(sim->reached(1.0, same_instant));
+      sim->schedule_reserved(1.0 + 2e-7, same_tick,
+                             [&] { fired.push_back(5); });
+      sim->schedule_reserved(1.0, same_instant, [&] { fired.push_back(2); });
+    });
+    same_instant = sim->reserve_seq();
+    same_tick = sim->reserve_seq();
+    sim->schedule_at(1.0, [&] { fired.push_back(3); });
+    sim->schedule_at(1.0 + 2e-7, [&] { fired.push_back(6); });
+    sim->schedule_at(1.0 + 1e-7, [&] { fired.push_back(4); });
+    sim->run();
+    const std::vector<int> want = {1, 2, 3, 4, 5, 6};
+    EXPECT_EQ(fired, want) << to_string(sim->engine());
+  }
+}
+
+TEST(EngineDifferentialDirected, ReservedSlotBehindPeekedClock) {
+  // A bounded run peeks the t=10 events and advances the wheel clock to
+  // their tick; slots filled afterwards at t=6 (behind the wheel clock) and
+  // at t=10 (below the seq of an event already drawn into the ready heap)
+  // must still fire in exact (time, seq) order.
+  Harness h;
+  const std::uint64_t at_ten = h.reserve();
+  h.schedule_at(10.0, 8, 0);
+  const std::uint64_t at_six = h.reserve();
+  h.run_until(5.0);
+  if (::testing::Test::HasFatalFailure()) return;
+  EXPECT_EQ(h.heap().sim.now(), 0.0);
+  EXPECT_FALSE(h.reached(10.0, at_ten));
+  EXPECT_FALSE(h.reached(6.0, at_six));
+  h.schedule_at(6.0, 16, 0);
+  h.schedule_reserved(6.0, at_six, 24, 0);
+  h.schedule_reserved(10.0, at_ten, 32, 0);
+  h.run();
+  if (::testing::Test::HasFatalFailure()) return;
+  const std::uint64_t want[] = {24, 16, 32, 8};
+  ASSERT_EQ(h.heap().log.size(), std::size(want));
+  for (std::size_t i = 0; i < std::size(want); ++i) {
+    EXPECT_EQ(h.heap().log[i].id, want[i]) << "position " << i;
+  }
+}
+
+TEST(EngineDifferentialDirected, ReachedFollowsTheDispatchPosition) {
+  Harness h;
+  const std::uint64_t before = h.reserve();
+  h.schedule_at(2.0, 8, 0);
+  const std::uint64_t after = h.reserve();
+  EXPECT_FALSE(h.reached(0.0, before));  // nothing dispatched yet
+  h.run_until(2.0);
+  if (::testing::Test::HasFatalFailure()) return;
+  // At t=2 the event with the seq between the two slots has fired.
+  EXPECT_TRUE(h.reached(2.0, before));
+  EXPECT_FALSE(h.reached(2.0, after));
+  EXPECT_TRUE(h.reached(1.0, after));
+  // A drained run that jumps the clock passes every slot up to its limit.
+  h.run_until(3.0);
+  if (::testing::Test::HasFatalFailure()) return;
+  EXPECT_TRUE(h.reached(3.0, after));
+  EXPECT_FALSE(h.reached(3.0, h.reserve()));
+}
 
 // Directed: a same-instant storm. N events at exactly t=1.0 scheduled in
 // insertion order, interleaved with dt=0 reentrant children, must fire FIFO

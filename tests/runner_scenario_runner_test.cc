@@ -38,22 +38,27 @@ TEST(ScenarioRunner, SerialModeRunsInlineInSubmissionOrder) {
   for (int i = 0; i < 8; ++i) EXPECT_EQ(order[i], i);
 }
 
-// Later submissions finish first (earlier indices sleep longer), yet the
-// merged results must land at their submission index.
+// Index 0 finishes last: it waits until every other index has completed,
+// yet the merged results must land at their submission index. The wait
+// cannot deadlock: index 0 holds one of the four workers, and the other
+// three drain indices 1..11 from the FIFO queue.
 TEST(RunIndexed, MergesInSubmissionOrderNotCompletionOrder) {
   constexpr std::size_t kRuns = 12;
   std::atomic<int> completions{0};
   std::vector<int> completion_rank(kRuns, -1);
   const auto results = run_indexed<std::size_t>(4, kRuns, [&](std::size_t i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(kRuns - i));
+    if (i == 0) {
+      while (completions.load() < static_cast<int>(kRuns) - 1) {
+        std::this_thread::yield();
+      }
+    }
     completion_rank[i] = completions.fetch_add(1);
     return i;
   });
   ASSERT_EQ(results.size(), kRuns);
   for (std::size_t i = 0; i < kRuns; ++i) EXPECT_EQ(results[i], i);
-  // Sanity that the sleep ladder actually produced out-of-order completion
-  // (first-submitted must not have completed first given a 4-wide pool).
-  EXPECT_NE(completion_rank[0], 0);
+  // The first-submitted index completed last.
+  EXPECT_EQ(completion_rank[0], static_cast<int>(kRuns) - 1);
 }
 
 TEST(RunIndexed, WorksWithMoveOnlyNonDefaultConstructibleResults) {

@@ -23,10 +23,10 @@ namespace {
 
 using telemetry::ScopedAllocCount;
 
-// Self-rescheduling functor: 32 bytes, trivially inline. Each firing
+// Self-rescheduling functor: 24 bytes, trivially inline. Each firing
 // schedules the next round until the fuel runs out, so one warm node serves
-// the whole run — exactly the steady-state shape of Link's busy/deliver
-// chain.
+// the whole run — the steady-state shape of a traffic source's send timer
+// or SimMonitor's tick.
 struct Ticker {
   Simulator* sim;
   TimeSec dt;
