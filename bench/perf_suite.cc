@@ -6,12 +6,15 @@
 // Three layers of measurement, all min-of-K with MAD-based noise estimation:
 //
 //  * micro:   SipHash, capability verify, Bloom drop-filter record/query,
-//             token-bucket admission — ns/op of the per-packet primitives;
+//             token-bucket admission — ns/op of the per-packet primitives —
+//             plus the control plane's aggregation plan over 512 paths;
 //  * queue:   each of the seven defense disciplines driven by three
 //             synthetic load shapes (steady / cbr flood / shrew pulses) —
 //             packets/sec per (scheme, load) cell, plus the machine-portable
 //             gated ratios floc-vs-droptail and the fast-path allocation
-//             counts from the scoped counting allocator;
+//             counts from the scoped counting allocator, and FLoc's
+//             enqueue+dequeue cost with the event journal, the span tracer
+//             or the profiler attached, each as a ratio to the detached run;
 //  * macro:   a shrunk fig06 attack sweep (TCP-population / CBR / shrew on
 //             the FLoc-defended tree) — events/sec and ns/event from the
 //             Simulator, a per-Profiler-section ns breakdown that localizes
@@ -36,14 +39,20 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "core/aggregation.h"
 #include "core/capability.h"
 #include "core/drop_filter.h"
+#include "core/floc_queue.h"
 #include "core/model.h"
 #include "core/token_bucket.h"
 #include "netsim/simulator.h"
 #include "telemetry/alloc_counter.h"
 #include "telemetry/perf_baseline.h"
+#include "telemetry/profiler.h"
+#include "telemetry/telemetry.h"
+#include "telemetry/tracing.h"
 #include "topology/defense_factory.h"
+#include "util/rng.h"
 #include "util/siphash.h"
 
 // Real allocation counts for the alloc.* metrics (program-wide operator
@@ -113,11 +122,7 @@ double median_of(std::vector<double> xs) {
   return n % 2 == 1 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
 }
 
-template <typename Fn>
-RepeatResult repeat(int k, bool higher_is_better, Fn&& measure) {
-  std::vector<double> xs;
-  xs.reserve(static_cast<std::size_t>(k));
-  for (int i = 0; i < k; ++i) xs.push_back(measure());
+RepeatResult summarize(const std::vector<double>& xs, bool higher_is_better) {
   RepeatResult r;
   r.best = higher_is_better ? *std::max_element(xs.begin(), xs.end())
                             : *std::min_element(xs.begin(), xs.end());
@@ -127,6 +132,14 @@ RepeatResult repeat(int k, bool higher_is_better, Fn&& measure) {
   for (double x : xs) dev.push_back(std::abs(x - med));
   r.noise = med != 0.0 ? median_of(std::move(dev)) / std::abs(med) : 0.0;
   return r;
+}
+
+template <typename Fn>
+RepeatResult repeat(int k, bool higher_is_better, Fn&& measure) {
+  std::vector<double> xs;
+  xs.reserve(static_cast<std::size_t>(k));
+  for (int i = 0; i < k; ++i) xs.push_back(measure());
+  return summarize(xs, higher_is_better);
 }
 
 // --- micro benches ----------------------------------------------------------
@@ -205,13 +218,39 @@ double ns_token_bucket(int iters) {
   return static_cast<double>(t1 - t0) / iters;
 }
 
-// --- scheduler dispatch micro (engine matrix) --------------------------------
+// Control plane: one aggregation plan over 512 paths spread over a
+// 16 x 64 prefix tree, half of them allowed a bandwidth guarantee (s_max).
+double ns_aggregation_plan(int iters) {
+  constexpr int kPaths = 512;
+  std::vector<PathSnapshot> snaps;
+  Rng rng(7);
+  for (int i = 0; i < kPaths; ++i) {
+    snaps.push_back(PathSnapshot{
+        PathId::of({static_cast<AsNumber>(i % 16 + 1),
+                    static_cast<AsNumber>(i % 64 + 100),
+                    static_cast<AsNumber>(i + 1000)}),
+        rng.uniform(), rng.uniform(1.0, 100.0)});
+  }
+  AggregationConfig cfg;
+  cfg.s_max = kPaths / 2;
+  const Aggregator agg(cfg);
+  std::uint64_t acc = 0;
+  const std::uint64_t t0 = telemetry::clock_ns();
+  for (int i = 0; i < iters; ++i) {
+    acc += static_cast<std::uint64_t>(agg.plan(snaps).identifier_count);
+  }
+  const std::uint64_t t1 = telemetry::clock_ns();
+  g_sink += acc;
+  return static_cast<double>(t1 - t0) / iters;
+}
+
+// --- scheduler dispatch micro -------------------------------------------------
 
 // Self-rescheduling inline-capture functor: each firing schedules the next,
 // so the measured loop is exactly one schedule_in + one dispatch per event —
 // the Simulator's steady-state hot path with no queue-discipline work mixed
 // in. 64 concurrent chains at staggered periods keep several wheel levels
-// (and a realistically deep heap) live.
+// live.
 struct DispatchTicker {
   Simulator* sim;
   TimeSec dt;
@@ -231,11 +270,11 @@ void seed_dispatch_chains(Simulator& sim, std::uint64_t* fuel) {
   }
 }
 
-double sim_dispatch_ns(SimEngine engine, int events) {
-  Simulator sim(engine);
+double sim_dispatch_ns(int events) {
+  Simulator sim;
   auto fuel = static_cast<std::uint64_t>(events);
   seed_dispatch_chains(sim, &fuel);
-  sim.run_until(0.002);  // warm: arena chunks, engine vectors at high-water
+  sim.run_until(0.002);  // warm: arena chunks, wheel vectors at high-water
   const std::uint64_t before = sim.events_processed();
   const std::uint64_t t0 = telemetry::clock_ns();
   sim.run();
@@ -245,8 +284,8 @@ double sim_dispatch_ns(SimEngine engine, int events) {
   return static_cast<double>(t1 - t0) / static_cast<double>(done);
 }
 
-double sim_dispatch_allocs_per_kevent(SimEngine engine, int events) {
-  Simulator sim(engine);
+double sim_dispatch_allocs_per_kevent(int events) {
+  Simulator sim;
   auto fuel = static_cast<std::uint64_t>(events);
   seed_dispatch_chains(sim, &fuel);
   sim.run_until(0.002);
@@ -354,11 +393,89 @@ double queue_workload_ns(QueueDisc& q, Load load, int packets) {
   return static_cast<double>(t1 - t0) / packets;
 }
 
+// --- FLoc with observers attached --------------------------------------------
+
+enum class Observer { kNone, kJournal, kTracer, kProfiler };
+const char* to_string(Observer o) {
+  switch (o) {
+    case Observer::kNone: return "detached";
+    case Observer::kJournal: return "journal";
+    case Observer::kTracer: return "tracer";
+    case Observer::kProfiler: return "profiler";
+  }
+  return "?";
+}
+
+// FLoc enqueue+dequeue at ~10 Gbps of full-size packets over 64 paths and
+// 3,200 flows with one observer attached; returns wall ns per packet of the
+// second of two equal passes (the first grows the tables). The journal
+// records every defense event except per-packet drops (counters stay
+// registry-polled); the tracer gets a queue-residency span per packet,
+// rooted here in the link's place, that FLoc annotates with its verdict;
+// the profiler times enqueue, dequeue, control and cap-verify.
+double ns_floc_observed(Observer observer, int packets) {
+  constexpr int kPaths = 64;
+  FlocConfig cfg;
+  cfg.link_bandwidth = gbps(10);
+  cfg.buffer_packets = 4096;
+  FlocQueue q(cfg);
+  telemetry::Telemetry tel;
+  telemetry::Tracer tracer(/*max_spans=*/4096);
+  telemetry::Profiler prof;
+  switch (observer) {
+    case Observer::kNone:
+      break;
+    case Observer::kJournal:
+      tel.journal.set_enabled(telemetry::EventKind::kDrop, false);
+      q.attach_telemetry(&tel);
+      break;
+    case Observer::kTracer:
+      q.set_tracer(&tracer);
+      break;
+    case Observer::kProfiler:
+      q.set_profiler(&prof);
+      break;
+  }
+  const bool traced = observer == Observer::kTracer;
+  PathId ids[kPaths];
+  for (int i = 0; i < kPaths; ++i) {
+    ids[i] = PathId::of(
+        {static_cast<AsNumber>(i + 1), static_cast<AsNumber>(100 + i)});
+  }
+  double t = 0.0;
+  FlowId flow = 0;
+  auto pass = [&] {
+    const std::uint64_t t0 = telemetry::clock_ns();
+    for (int i = 0; i < packets; ++i) {
+      Packet p;
+      p.flow = flow % (FlowId{kPaths} * 50);
+      p.src = static_cast<HostAddr>(p.flow + 1);
+      p.dst = 9999;
+      p.path = ids[flow % FlowId{kPaths}];
+      ++flow;
+      telemetry::SpanId span = 0;
+      if (traced) {
+        span = tracer.begin(t, p.flow, 0, telemetry::SpanKind::kQueue,
+                            /*pid=*/1, /*tid=*/0, p.seq, p.size_bytes);
+        p.span = SpanContext{p.flow, span, 0};
+      }
+      q.enqueue(std::move(p), t);
+      q.dequeue(t);
+      if (traced) tracer.end(span, t);
+      t += 1.2e-6;
+    }
+    return telemetry::clock_ns() - t0;
+  };
+  pass();
+  const std::uint64_t ns = pass();
+  g_sink += q.admissions();
+  return static_cast<double>(ns) / packets;
+}
+
 // --- macro: shrunk fig06 sweep ---------------------------------------------
 
 TreeScenarioConfig macro_config(AttackType attack, std::uint64_t seed,
-                                bool quick,
-                                SimEngine engine = SimEngine::kWheel) {
+                                bool quick) {
   TreeScenarioConfig cfg;
   cfg.tree_degree = 3;
   cfg.tree_height = 2;  // 9 leaves
@@ -378,7 +495,6 @@ TreeScenarioConfig macro_config(AttackType attack, std::uint64_t seed,
   cfg.measure_start = 2.0;
   cfg.measure_end = cfg.duration;
   cfg.seed = seed;
-  cfg.engine = engine;
   if (attack == AttackType::kShrew) {
     cfg.shrew_period = 0.05;
     cfg.shrew_duty = 0.25;
@@ -398,8 +514,7 @@ struct SweepResult {
 };
 
 SweepResult run_macro_sweep(const SuiteArgs& a, int jobs,
-                            std::uint64_t sweep_salt,
-                            SimEngine engine = SimEngine::kWheel) {
+                            std::uint64_t sweep_salt) {
   const AttackType attacks[] = {AttackType::kTcpPopulation, AttackType::kCbr,
                                 AttackType::kShrew};
   struct CaseOut {
@@ -413,7 +528,7 @@ SweepResult run_macro_sweep(const SuiteArgs& a, int jobs,
           TreeScenario s(macro_config(
               attacks[i],
               derive_seed(a.seed, i + sweep_salt, kSeedStreamTreeScenario),
-              a.quick, engine));
+              a.quick));
           telemetry::Profiler prof;
           if (s.floc_queue() != nullptr) s.floc_queue()->set_profiler(&prof);
           s.target_link()->set_profiler(prof.section("link.enqueue"),
@@ -489,51 +604,39 @@ int run_suite(const SuiteArgs& a) {
                 100.0 * r.noise);
   }
 
-  // Scheduler dispatch matrix: pure schedule->fire throughput per engine.
-  // The gated metric is the machine-portable wheel/heap speed ratio; the
-  // absolute events/sec rows track the trajectory (ISSUE 10 target: >= 3x
-  // the seed engine's dispatch rate, which the wheel row shows directly
-  // against pre-PR baselines).
+  // Control plane: aggregation plan over 512 paths (trajectory only).
+  {
+    const RepeatResult r =
+        repeat(a.repeats, /*higher_is_better=*/false,
+               [&] { return ns_aggregation_plan(micro_iters / 1000); });
+    const char* name = "micro.aggregation_plan_512.ns_per_op";
+    report.add(name, r.best, "ns/op", r.noise, false, /*gate=*/false);
+    std::printf("%-38s %10.1f ns/op  (noise %.1f%%)\n", name, r.best,
+                100.0 * r.noise);
+  }
+
+  // Scheduler dispatch: pure schedule->fire throughput of the timer wheel
+  // (trajectory), and its steady-state allocation count (gated: zero).
   const int dispatch_events = a.quick ? 300'000 : 1'000'000;
   {
-    double heap_ns = 0.0, heap_noise = 0.0;
-    double wheel_ns = 0.0, wheel_noise = 0.0;
-    for (const SimEngine engine : {SimEngine::kHeap, SimEngine::kWheel}) {
-      const RepeatResult r =
-          repeat(a.repeats, /*higher_is_better=*/false,
-                 [&] { return sim_dispatch_ns(engine, dispatch_events); });
-      if (engine == SimEngine::kHeap) {
-        heap_ns = r.best;
-        heap_noise = r.noise;
-      } else {
-        wheel_ns = r.best;
-        wheel_noise = r.noise;
-      }
-      char name[96];
-      std::snprintf(name, sizeof(name), "sim.dispatch.%s.events_per_sec",
-                    to_string(engine));
-      report.add(name, 1e9 / r.best, "events/s", r.noise,
-                 /*higher_is_better=*/true, /*gate=*/false);
-      std::printf("%-38s %10.0f events/s (noise %.1f%%)\n", name, 1e9 / r.best,
-                  100.0 * r.noise);
+    const RepeatResult r =
+        repeat(a.repeats, /*higher_is_better=*/false,
+               [&] { return sim_dispatch_ns(dispatch_events); });
+    const char* name = "sim.dispatch.wheel.events_per_sec";
+    report.add(name, 1e9 / r.best, "events/s", r.noise,
+               /*higher_is_better=*/true, /*gate=*/false);
+    std::printf("%-38s %10.0f events/s (noise %.1f%%)\n", name, 1e9 / r.best,
+                100.0 * r.noise);
 
-      const RepeatResult alloc =
-          repeat(a.repeats, /*higher_is_better=*/false, [&] {
-            return sim_dispatch_allocs_per_kevent(engine, dispatch_events / 4);
-          });
-      std::snprintf(name, sizeof(name),
-                    "alloc.sim_dispatch.%s.allocs_per_kevent",
-                    to_string(engine));
-      report.add(name, alloc.best, "allocs/kevent", alloc.noise, false,
-                 /*gate=*/true);
-      std::printf("%-38s %10.2f allocs/kevent (noise %.1f%%)\n", name,
-                  alloc.best, 100.0 * alloc.noise);
-    }
-    report.add("ratio.sim_dispatch.wheel_vs_heap", heap_ns / wheel_ns, "x",
-               heap_noise + wheel_noise, /*higher_is_better=*/true,
+    const RepeatResult alloc =
+        repeat(a.repeats, /*higher_is_better=*/false, [&] {
+          return sim_dispatch_allocs_per_kevent(dispatch_events / 4);
+        });
+    name = "alloc.sim_dispatch.wheel.allocs_per_kevent";
+    report.add(name, alloc.best, "allocs/kevent", alloc.noise, false,
                /*gate=*/true);
-    std::printf("%-38s %10.2f x\n", "ratio.sim_dispatch.wheel_vs_heap",
-                heap_ns / wheel_ns);
+    std::printf("%-38s %10.2f allocs/kevent (noise %.1f%%)\n", name,
+                alloc.best, 100.0 * alloc.noise);
   }
 
   // Queue matrix: 7 disciplines x 3 load shapes. FLoc timings take the
@@ -594,19 +697,39 @@ int run_suite(const SuiteArgs& a) {
                 100.0 * r.noise);
   }
 
-  // Macro: shrunk fig06 sweep — events/sec, section breakdown, speedup, and
-  // the whole-scenario engine ratio (same derived seeds on both engines, so
-  // identical simulated worlds; the wall-clock ratio is the end-to-end win).
+  // Observer overhead: FLoc enqueue+dequeue with the journal, the tracer or
+  // the profiler attached, as a ratio to the detached run (trajectory only;
+  // the handicap cancels in the ratio). Each repeat measures all four in
+  // turn, so host-speed drift hits the numerator and denominator alike.
+  {
+    constexpr Observer kObservers[] = {Observer::kNone, Observer::kJournal,
+                                       Observer::kTracer, Observer::kProfiler};
+    std::vector<double> ns[std::size(kObservers)];
+    for (int k = 0; k < a.repeats; ++k) {
+      for (std::size_t o = 0; o < std::size(kObservers); ++o) {
+        ns[o].push_back(ns_floc_observed(kObservers[o], queue_pkts));
+      }
+    }
+    const RepeatResult detached = summarize(ns[0], false);
+    for (std::size_t o = 1; o < std::size(kObservers); ++o) {
+      const RepeatResult r = summarize(ns[o], false);
+      char name[96];
+      std::snprintf(name, sizeof(name), "ratio.floc_observed.%s_vs_detached",
+                    to_string(kObservers[o]));
+      report.add(name, r.best / detached.best, "x",
+                 r.noise + detached.noise, false, /*gate=*/false);
+      std::printf("%-38s %10.2f x (%.1f vs %.1f ns/pkt)\n", name,
+                  r.best / detached.best, r.best, detached.best);
+    }
+  }
+
+  // Macro: shrunk fig06 sweep — events/sec, section breakdown, speedup.
   std::vector<double> serial_walls, parallel_walls, events_per_sec;
-  std::vector<double> heap_walls;
   SweepResult best_serial;
   for (int rep = 0; rep < a.macro_repeats; ++rep) {
     const std::uint64_t salt = static_cast<std::uint64_t>(rep) * 1000;
-    SweepResult serial = run_macro_sweep(a, 1, salt, SimEngine::kWheel);
-    const SweepResult parallel = run_macro_sweep(a, a.jobs, salt,
-                                                 SimEngine::kWheel);
-    heap_walls.push_back(
-        run_macro_sweep(a, 1, salt, SimEngine::kHeap).wall_seconds);
+    SweepResult serial = run_macro_sweep(a, 1, salt);
+    const SweepResult parallel = run_macro_sweep(a, a.jobs, salt);
     serial_walls.push_back(serial.wall_seconds);
     parallel_walls.push_back(parallel.wall_seconds);
     events_per_sec.push_back(static_cast<double>(serial.events) /
@@ -635,15 +758,6 @@ int run_suite(const SuiteArgs& a) {
                 "macro.fig06.events_per_sec", best_eps, 100.0 * noise);
     std::printf("%-38s %10.2f x (--jobs %d)\n", "sweep.fig06.speedup", speedup,
                 a.jobs);
-    // Gated so a change that makes the wheel slower than the heap engine on
-    // real scenario workloads (not just the dispatch micro) fails the perf
-    // leg even if both absolute rates drifted.
-    const double engine_ratio =
-        median_of(heap_walls) / median_of(serial_walls);
-    report.add("ratio.fig06.wheel_vs_heap_events", engine_ratio, "x",
-               2.0 * noise, /*higher_is_better=*/true, /*gate=*/true);
-    std::printf("%-38s %10.2f x\n", "ratio.fig06.wheel_vs_heap_events",
-                engine_ratio);
   }
   for (const auto& [sec, st] : best_serial.sections) {
     if (st.calls == 0) continue;

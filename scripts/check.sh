@@ -20,10 +20,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
-# Compiler cache when available (the CI matrix restores it between runs).
-LAUNCHER=()
+# Every configure disables find_package(benchmark): the build needs no
+# Google Benchmark, and a host that has it installed must not let the
+# dependency creep back in. Compiler cache when available (the CI matrix
+# restores it between runs).
+CONFIGURE_ARGS=(-DCMAKE_DISABLE_FIND_PACKAGE_benchmark=ON)
 if command -v ccache > /dev/null 2>&1; then
-  LAUNCHER=(-DCMAKE_CXX_COMPILER_LAUNCHER=ccache)
+  CONFIGURE_ARGS+=(-DCMAKE_CXX_COMPILER_LAUNCHER=ccache)
 fi
 
 check_no_stray_artifacts() {
@@ -111,7 +114,7 @@ perf_gate() {
 if [[ "${1:-}" == "--preset" ]]; then
   PRESET="${2:?usage: scripts/check.sh --preset <name>}"
   echo "== preset $PRESET: configure + build + ctest =="
-  cmake --preset "$PRESET" "${LAUNCHER[@]}" > /dev/null
+  cmake --preset "$PRESET" "${CONFIGURE_ARGS[@]}" > /dev/null
   cmake --build --preset "$PRESET" -j "$JOBS" > /dev/null
   ctest --preset "$PRESET" -j "$JOBS"
   # The tsan preset's ctest already ran the label-filtered multi-threaded
@@ -134,7 +137,7 @@ if [[ "${1:-}" == "--preset" ]]; then
 fi
 
 echo "== tier-1: release build + full ctest =="
-cmake -B build -S . "${LAUNCHER[@]}" > /dev/null
+cmake -B build -S . "${CONFIGURE_ARGS[@]}" > /dev/null
 cmake --build build -j "$JOBS" > /dev/null
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
@@ -145,12 +148,12 @@ if [[ "${1:-}" == "--fast" ]]; then
 fi
 
 echo "== sanitize: ASan+UBSan suite (ctest preset) =="
-cmake --preset sanitize "${LAUNCHER[@]}" > /dev/null
+cmake --preset sanitize "${CONFIGURE_ARGS[@]}" > /dev/null
 cmake --build --preset sanitize -j "$JOBS" > /dev/null
 ctest --preset sanitize -j "$JOBS"
 
 echo "== tsan: ThreadSanitizer on the multi-threaded (runner) suite =="
-cmake --preset tsan "${LAUNCHER[@]}" > /dev/null
+cmake --preset tsan "${CONFIGURE_ARGS[@]}" > /dev/null
 cmake --build --preset tsan -j "$JOBS" > /dev/null
 ctest --preset tsan -j "$JOBS"
 

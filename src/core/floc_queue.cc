@@ -15,6 +15,18 @@ namespace floc {
 
 namespace {
 
+// Design constants of the mechanism; no scenario, ablation or test varies
+// them.
+constexpr double kQminFrac = 0.2;          // Q_min as a fraction of the buffer
+constexpr double kAttackMtdFactor = 0.5;   // attack if MTD < factor*refMTD
+constexpr double kMtdWindowFactor = 2.0;   // MTD window = factor*refMTD
+constexpr TimeSec kBackoffRelapse = 3.0;   // relapse window for escalation
+constexpr double kBackoffLambdaFactor = 2.0;  // escalation load threshold
+constexpr double kJitterDipFloor = 0.5;    // dip factor drawn from [floor, 1)
+constexpr double kOverloadSynRate = 50.0;  // per-path SYN budget, 1/s
+constexpr double kOverloadSynBurst = 20.0;
+constexpr int kSketchRotateTicks = 64;     // control ticks per sketch rotation
+
 // Deterministic signed unit value in [-1, 1) from a key — used for the
 // per-aggregate period jitter. Hashing (akey, tick, seed) instead of drawing
 // from rng_ keeps the jitter independent of unordered_map iteration order
@@ -35,7 +47,7 @@ FlocQueue::FlocQueue(FlocConfig cfg)
     : cfg_(cfg),
       issuer_(cfg.secret, cfg.n_max),
       rng_(cfg.rng_seed),
-      q_min_(static_cast<std::size_t>(cfg.qmin_frac *
+      q_min_(static_cast<std::size_t>(kQminFrac *
                                       static_cast<double>(cfg.buffer_packets))),
       q_max_(cfg.buffer_packets),
       relatch_(mix64(cfg.rng_seed ^ 0x5EBA5EBA5EBA5EBAULL)) {
@@ -611,8 +623,7 @@ TimeSec FlocQueue::measured_flow_mtd(const OriginPathState&, std::uint64_t key,
     const double u = filter_->over_rate(key, now, agg.params.ref_mtd);
     return agg.params.ref_mtd / std::max(1.0, u);
   }
-  fr.mtd.set_window(
-      std::max(cfg_.mtd_window_factor, 1.0) * agg.params.ref_mtd);
+  fr.mtd.set_window(kMtdWindowFactor * agg.params.ref_mtd);
   return fr.mtd.mtd(now);
 }
 
@@ -653,9 +664,8 @@ bool FlocQueue::enqueue_impl(Packet&& p, TimeSec now) {
       // The gate sits BEFORE the flow touch so a shed SYN plants no flow
       // record — a handshake storm can neither fill the flow table nor pin
       // its occupancy (and with it the overload latch) at 1.0.
-      if (overloaded_ && cfg_.overload_syn_rate > 0.0 &&
-          !op.syn_gate_admit(now, cfg_.overload_syn_rate,
-                             cfg_.overload_syn_burst)) {
+      if (overloaded_ &&
+          !op.syn_gate_admit(now, kOverloadSynRate, kOverloadSynBurst)) {
         note_drop(p, DropReason::kOverload, now);
         return false;
       }
@@ -742,8 +752,7 @@ bool FlocQueue::admit_data(Packet& p, TimeSec now) {
   // handshakes, and data without a capability is exactly the traffic class
   // doing the churning. Established legitimate flows echo the capability
   // stamped on their SYN-ACK and pass untouched.
-  if (overloaded_ && cfg_.overload_require_caps && cfg_.enable_capabilities &&
-      p.cap0 == 0) {
+  if (overloaded_ && cfg_.enable_capabilities && p.cap0 == 0) {
     on_drop(p, DropReason::kOverload, op, agg, &fr, now);
     return false;
   }
@@ -832,7 +841,7 @@ bool FlocQueue::admit_data(Packet& p, TimeSec now) {
         // a TCP flow transiently over its fair share backs off on loss and
         // keeps a large MTD, so it never accumulates strikes.
         if (cfg_.enable_blacklist &&
-            is_attack_mtd(mtd, agg.params.ref_mtd, cfg_.attack_mtd_factor)) {
+            is_attack_mtd(mtd, agg.params.ref_mtd, kAttackMtdFactor)) {
           strike(p.src, now);
         }
         return false;
@@ -890,7 +899,7 @@ bool FlocQueue::admit_data(Packet& p, TimeSec now) {
     if (cfg_.enable_blacklist && agg.attack &&
         fr.rate_bps > agg.c / std::max(agg.n, 1.0) &&
         is_attack_mtd(measured_flow_mtd(op, key, fr, agg, now),
-                      agg.params.ref_mtd, cfg_.attack_mtd_factor)) {
+                      agg.params.ref_mtd, kAttackMtdFactor)) {
       strike(p.src, now);
     }
     return false;
@@ -1121,8 +1130,7 @@ void FlocQueue::control(TimeSec now) {
         const double v = 0.5 * (1.0 + signed_unit_hash(
                                           akey ^ tick_word ^
                                           0x5CA1AB1E5CA1AB1EULL));
-        const double f =
-            cfg_.jitter_dip_floor + (1.0 - cfg_.jitter_dip_floor) * v;
+        const double f = kJitterDipFloor + (1.0 - kJitterDipFloor) * v;
         agg.params.bucket_packets *= f;
         agg.params.bucket_packets_incr *= f;
         agg.dip_strict = offense_.find(akey) != offense_.end();
@@ -1146,14 +1154,6 @@ void FlocQueue::control(TimeSec now) {
         agg.lambda_bps / (kBitsPerByte * cfg_.pkt_bytes);
     const bool condition = agg_mtd < detect_period &&
                            lambda_pkts > c_pkts + 1.0 / detect_period;
-#ifdef FLOC_DEBUG_DETECT
-    std::fprintf(stderr,
-                 "detect t=%.2f agg=%s mtd=%.4f T=%.4f lam=%.0f thr=%.0f "
-                 "cond=%d streak=%d\n",
-                 now, agg.id.to_string().c_str(), agg_mtd, detect_period,
-                 lambda_pkts, c_pkts + 1.0 / detect_period, condition,
-                 agg.attack_streak);
-#endif
     // Hysteresis: a flood holds the condition every interval; a legitimate
     // path crossing it transiently (TCP probing) does not latch. With
     // backoff_release, a path that has latched before must stay calm
@@ -1194,14 +1194,14 @@ void FlocQueue::control(TimeSec now) {
         po.next_decay = now + cfg_.backoff_decay;
         if (agg.attack) {
           // Escalate only on a fast relapse: re-latching within
-          // backoff_relapse of the previous release is the signature of an
+          // kBackoffRelapse of the previous release is the signature of an
           // attacker timing its quiet phase to the release hysteresis. A
           // legitimate path whose marginal latches are spread out keeps
           // multiplier 1 no matter how many times it latches.
           if (po.ever_latched && po.multiplier < cfg_.backoff_cap &&
               po.last_release >= 0.0 &&
-              now - po.last_release <= cfg_.backoff_relapse &&
-              lambda_pkts > cfg_.backoff_lambda_factor *
+              now - po.last_release <= kBackoffRelapse &&
+              lambda_pkts > kBackoffLambdaFactor *
                                 (c_pkts + 1.0 / detect_period)) {
             po.multiplier = std::min(cfg_.backoff_cap, po.multiplier * 2);
             if (journal() != nullptr) {
@@ -1237,29 +1237,16 @@ void FlocQueue::control(TimeSec now) {
       // Refresh the smoothed per-flow arrival-rate estimate.
       const double inst = fr.bytes_arrived * kBitsPerByte / interval;
       fr.rate_bps = fr.rate_bps > 0.0 ? 0.5 * fr.rate_bps + 0.5 * inst : inst;
-
-#ifdef FLOC_DEBUG_CONF
-      fr.mtd.set_window(std::max(cfg_.mtd_window_factor, 1.0) *
-                        agg.params.ref_mtd);
-      std::fprintf(stderr,
-                   "conf t=%.2f path=%s flow=%llu rate=%.0f fair=%.0f "
-                   "mtd=%.4f ref=%.4f drops=%llu\n",
-                   now, op.path().to_string().c_str(),
-                   (unsigned long long)fkey, fr.rate_bps, fair_bps,
-                   fr.mtd.mtd(now), agg.params.ref_mtd,
-                   (unsigned long long)fr.total_drops);
-#endif
       if (fr.rate_bps <= fair_bps) continue;  // within fair share: legit
       TimeSec mtd;
       if (cfg_.use_scalable_filter) {
         const double u = filter_->over_rate(fkey, now, agg.params.ref_mtd);
         mtd = agg.params.ref_mtd / std::max(1.0, u);
       } else {
-        fr.mtd.set_window(std::max(cfg_.mtd_window_factor, 1.0) *
-                          agg.params.ref_mtd);
+        fr.mtd.set_window(kMtdWindowFactor * agg.params.ref_mtd);
         mtd = fr.mtd.mtd(now);
       }
-      if (is_attack_mtd(mtd, agg.params.ref_mtd, cfg_.attack_mtd_factor))
+      if (is_attack_mtd(mtd, agg.params.ref_mtd, kAttackMtdFactor))
         ++n_attack;
     }
     op.update_conformance(legitimate_fraction(n_attack, op.flow_count()));
@@ -1338,8 +1325,7 @@ void FlocQueue::control(TimeSec now) {
 
   // --- Bounded-state housekeeping ------------------------------------------
   if (cfg_.enable_overload_mode) update_overload(now);
-  if (relatch_enabled() && cfg_.sketch_rotate_ticks > 0 &&
-      control_ticks_ % cfg_.sketch_rotate_ticks == 0) {
+  if (relatch_enabled() && control_ticks_ % kSketchRotateTicks == 0) {
     // Age the re-latch sketch two rotation windows after the mark: long
     // enough for any realistic resume, short enough that a false positive
     // (hash collision with an innocent key) cannot haunt a path forever.

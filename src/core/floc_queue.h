@@ -49,8 +49,7 @@ enum class RecoveryPolicy { kFailOpen, kFailClosed };
 
 struct FlocConfig {
   BitsPerSec link_bandwidth = mbps(500);
-  std::size_t buffer_packets = 1000;
-  double qmin_frac = 0.2;      // Q_min as a fraction of the buffer
+  std::size_t buffer_packets = 1000;  // Q_min is a fixed 20% of it
   int pkt_bytes = 1500;
 
   // Bandwidth guarantees / aggregation.
@@ -60,9 +59,8 @@ struct FlocConfig {
   double legit_max_increase = 0.5;
   bool enable_aggregation = true;
 
-  // Attack identification.
-  double attack_mtd_factor = 0.5;  // flow is attack if MTD < factor*refMTD
-  double mtd_window_factor = 2.0;  // k = factor*n_i periods (k >= n_i)
+  // Attack identification: a flow is an attack flow if its MTD, measured
+  // over a window of twice the reference MTD, is below half the reference.
   bool enable_preferential_drop = true;
   // Hysteresis on the attack-path flag: latch after `attack_latch`
   // consecutive positive intervals, release after `attack_release` calm ones.
@@ -99,27 +97,23 @@ struct FlocConfig {
   // together: the long-run token rate (bucket/period) is unchanged, only the
   // refill boundaries move, so conformant flows see the same throughput.
   double interval_jitter = 0.0;
-  // Exponential-backoff release: a path that re-latches within
-  // `backoff_relapse` seconds of its last release doubles its calm-streak
-  // release requirement (multiplier capped at `backoff_cap`); the
-  // multiplier halves for every `backoff_decay` seconds the path stays
-  // unlatched. Defeats duty-cycled attackers that time their quiet phases
-  // to the fixed attack_release — they must relapse fast to gain anything —
-  // while legitimate paths whose sporadic marginal latches are minutes or
-  // seconds apart never escalate. The per-path offense record — and the
-  // latched flag itself — survives reboot()/relearn: it is an issued
-  // verdict, not re-derivable soft state.
+  // Exponential-backoff release: a path that re-latches within 3 s of its
+  // last release, at an offered load above twice the latch threshold,
+  // doubles its calm-streak release requirement (multiplier capped at
+  // `backoff_cap`); the multiplier halves for every `backoff_decay` seconds
+  // the path stays unlatched. Defeats duty-cycled attackers that time their
+  // quiet phases to the fixed attack_release — they must relapse fast to
+  // gain anything — while legitimate paths whose sporadic marginal latches
+  // are minutes or seconds apart never escalate. The load test separates
+  // the two when both relapse on the *attacker's* cycle: an attack blast
+  // arrives at several times the path allocation, while a legitimate path
+  // dragged over the detection line by flooding-mode collateral crosses it
+  // marginally. The per-path offense record — and the latched flag itself —
+  // survives reboot()/relearn: it is an issued verdict, not re-derivable
+  // soft state.
   bool backoff_release = false;
   int backoff_cap = 16;
-  TimeSec backoff_relapse = 3.0;
   TimeSec backoff_decay = 10.0;
-  // Escalation additionally requires the offered load at latch time to
-  // exceed `backoff_lambda_factor` times the latch threshold: an attack
-  // blast arrives at several times the path allocation, while a legitimate
-  // path dragged over the detection line by flooding-mode collateral
-  // crosses it marginally — and both relapse on the *attacker's* cycle, so
-  // timing alone cannot tell them apart.
-  double backoff_lambda_factor = 2.0;
   // Per-sender offender table: a sender whose packets are dropped on a
   // latched path while it sends above its fair share with an attack-grade
   // MTD accumulates strikes — at most one per control interval, so a
@@ -135,7 +129,7 @@ struct FlocConfig {
   TimeSec blacklist_duration = 8.0;
   // Feedback poisoning: with probability `jitter_dip_prob` per aggregate
   // per control tick, the effective bucket for that tick is additionally
-  // scaled by a factor drawn uniformly from [jitter_dip_floor, 1) — the
+  // scaled by a factor drawn uniformly from [0.5, 1) — the
   // period is NOT scaled, so the tick's admitted volume genuinely dips.
   // On paths under probation (carrying an offense record, i.e. they have
   // latched at least once; requires backoff_release) a dip tick also
@@ -150,7 +144,6 @@ struct FlocConfig {
   // from the same order-independent hash as the period jitter (distinct
   // salt), so runs stay reproducible and --jobs invariant.
   double jitter_dip_prob = 0.0;
-  double jitter_dip_floor = 0.5;
 
   // --- Bounded state / overload resilience --------------------------------
   // All knobs default OFF (capacity 0 = unbounded, overload mode disabled);
@@ -182,18 +175,13 @@ struct FlocConfig {
   double overload_enter = 0.9;
   double overload_exit = 0.7;
   int overload_path_prefix = 1;
-  bool overload_require_caps = true;
   // While overloaded, SYNs are also budgeted per origin path (token bucket:
-  // `overload_syn_rate`/s, burst `overload_syn_burst`): identity churn
-  // escalates into a pure handshake storm, and its coarsened identities
-  // funnel through a few paths while legitimate leaf paths keep their own
-  // barely-touched buckets. 0 disables the gate. Shed SYNs plant no flow
-  // record, so the storm cannot pin the flow-table occupancy either.
-  double overload_syn_rate = 50.0;
-  double overload_syn_burst = 20.0;
-  // Control ticks between re-latch sketch rotations; a mark survives one to
-  // two rotation periods. 0 disables rotation (marks live forever).
-  int sketch_rotate_ticks = 64;
+  // 50/s, burst 20): identity churn escalates into a pure handshake storm,
+  // and its coarsened identities funnel through a few paths while
+  // legitimate leaf paths keep their own barely-touched buckets. Shed SYNs
+  // plant no flow record, so the storm cannot pin the flow-table occupancy
+  // either. The re-latch sketch rotates every 64 control ticks, so a mark
+  // survives one to two rotation periods.
 
   // Scalable mode (Section V-B): MTD from the drop filter.
   bool use_scalable_filter = false;

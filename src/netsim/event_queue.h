@@ -1,36 +1,29 @@
-// Event-queue engines behind the Simulator: the legacy binary heap and the
-// hierarchical timer wheel that replaced it on the hot path.
+// The event queue behind the Simulator: a hierarchical timer wheel.
 //
-// Both engines store the SAME arena-backed intrusive EventNode and must
-// produce the SAME pop order: strictly (time, seq) — seq is the insertion
-// sequence number (or one reserved earlier, which may sort below nodes
-// already queued at the same time), so same-timestamp events fire FIFO by
-// seq. That contract is what the differential harness
-// (tests/netsim_event_queue_differential_test.cc) fuzzes and what keeps
-// golden traces byte-identical across the engine switch.
+// The queue stores arena-backed intrusive EventNodes and pops them strictly
+// in (time, seq) order — seq is the insertion sequence number (or one
+// reserved earlier, which may sort below nodes already queued at the same
+// time), so same-timestamp events fire FIFO by seq. That contract sits
+// behind the EventQueue interface so the tests can run a binary-heap
+// reference queue (tests/heap_event_queue.h) in lockstep with the wheel and
+// fuzz for the first divergent pop
+// (tests/netsim_event_queue_differential_test.cc).
 //
-//  * HeapEventQueue — the seed engine's std::priority_queue, now over node
-//    POINTERS so pop moves nothing (the seed engine copied the whole
-//    std::function out of top(); see the no-copy regression test).
-//    O(log n) per op; kept alive as the reference implementation.
-//
-//  * WheelEventQueue — hierarchical timer wheel: kLevels levels of kSlots
-//    slots, 1 µs ticks, level L slot spanning 64^L ticks. Insert and the
-//    amortized fire path are O(1); per-level occupancy bitmaps make the
-//    "jump to next event" a couple of ctz instructions, and events beyond
-//    the wheel horizon (~19 simulated hours) park in a calendar of
-//    2^36-tick buckets that refills the wheel on arrival. Multiple
-//    distinct double timestamps can share one tick, so an expiring slot is
-//    drained through a small (time, seq) min-heap of exactly that tick's
-//    events — reentrant schedules landing in the tick being processed
-//    merge into the same heap, which is how the wheel reproduces the heap
-//    engine's ordering bit for bit.
+// WheelEventQueue: kLevels levels of kSlots slots, 1 µs ticks, level L slot
+// spanning 64^L ticks. Insert and the amortized fire path are O(1);
+// per-level occupancy bitmaps make the "jump to next event" a couple of ctz
+// instructions, and events beyond the wheel horizon (~19 simulated hours)
+// park in a calendar of 2^36-tick buckets that refills the wheel on
+// arrival. Multiple distinct double timestamps can share one tick, so an
+// expiring slot is drained through a small (time, seq) min-heap of exactly
+// that tick's events — reentrant schedules landing in the tick being
+// processed merge into the same heap, which is how the wheel keeps exact
+// (time, seq) order below its tick resolution.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <queue>
 #include <vector>
 
 #include "util/arena.h"
@@ -51,7 +44,7 @@ using SimCallback = InlineFunction<void(), kSimCallbackInlineBytes>;
 
 // One scheduled event. Lives in the Simulator's NodeArena; `next` threads
 // the arena freelist while free and a wheel slot / calendar bucket list
-// while queued (the heap engine keeps pointers in its own vector instead).
+// while queued.
 struct EventNode {
   EventNode* next = nullptr;
   std::uint64_t tick = 0;  // time quantized by WheelEventQueue::tick_of
@@ -63,7 +56,7 @@ struct EventNode {
 };
 
 // Fires strictly in (time, seq) order via pop_if_at_or_before/pop_any.
-// Ownership: nodes are acquired/released by the Simulator; an engine only
+// Ownership: nodes are acquired/released by the Simulator; a queue only
 // holds them between push and pop (whatever is still queued when the arena
 // dies is destroyed by the arena's chunks, so early exits cannot leak).
 class EventQueue {
@@ -81,47 +74,6 @@ class EventQueue {
 
   // Nodes physically held (including lazily-cancelled ones).
   virtual std::size_t nodes() const = 0;
-};
-
-class HeapEventQueue final : public EventQueue {
- public:
-  HeapEventQueue() {
-    std::vector<EventNode*> storage;
-    storage.reserve(kReserveNodes);
-    pq_ = decltype(pq_)(Later{}, std::move(storage));
-  }
-
-  void push(EventNode* n) override { pq_.push(n); }
-
-  EventNode* pop_if_at_or_before(TimeSec limit) override {
-    if (pq_.empty() || pq_.top()->time > limit) return nullptr;
-    EventNode* n = pq_.top();
-    pq_.pop();
-    return n;
-  }
-
-  EventNode* pop_any() override {
-    if (pq_.empty()) return nullptr;
-    EventNode* n = pq_.top();
-    pq_.pop();
-    return n;
-  }
-
-  std::size_t nodes() const override { return pq_.size(); }
-
- private:
-  // Construction-time headroom so the first few hundred concurrent events
-  // never grow the storage on the fire path (growth past this is amortized
-  // as usual). Shared with the wheel's ready heap for symmetry.
-  static constexpr std::size_t kReserveNodes = 256;
-
-  struct Later {
-    bool operator()(const EventNode* a, const EventNode* b) const {
-      if (a->time != b->time) return a->time > b->time;
-      return a->seq > b->seq;
-    }
-  };
-  std::priority_queue<EventNode*, std::vector<EventNode*>, Later> pq_;
 };
 
 class WheelEventQueue final : public EventQueue {

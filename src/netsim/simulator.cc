@@ -4,23 +4,10 @@
 
 namespace floc {
 
-const char* to_string(SimEngine e) {
-  switch (e) {
-    case SimEngine::kHeap:
-      return "heap";
-    case SimEngine::kWheel:
-      return "wheel";
-  }
-  return "?";
-}
+Simulator::Simulator() : Simulator(std::make_unique<WheelEventQueue>()) {}
 
-Simulator::Simulator(SimEngine engine) : engine_kind_(engine) {
-  if (engine == SimEngine::kHeap) {
-    queue_ = std::make_unique<HeapEventQueue>();
-  } else {
-    queue_ = std::make_unique<WheelEventQueue>();
-  }
-}
+Simulator::Simulator(std::unique_ptr<EventQueue> queue)
+    : queue_(std::move(queue)) {}
 
 Simulator::TimerHandle Simulator::schedule_node(TimeSec t, EventNode* n) {
   if (t < now_) {
@@ -48,7 +35,7 @@ bool Simulator::cancel(TimerHandle h) {
     return false;
   }
   // Flag only: the node stays queued and is discarded when popped, so the
-  // surviving events' relative order is untouched in both engines.
+  // surviving events' relative order is untouched.
   h.node->cancelled = true;
   ++cancelled_;
   --live_;

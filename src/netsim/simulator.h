@@ -4,13 +4,12 @@
 // a sequence number reserved earlier, see reserve_seq) so runs are fully
 // deterministic.
 //
-// Engines: the queue behind the clock is pluggable (SimEngine). The default
-// is a hierarchical timer wheel whose steady-state schedule->fire path does
-// zero heap allocations (arena-recycled intrusive nodes + small-buffer
-// inline callbacks); the seed binary heap survives as the reference engine,
-// and the differential harness proves the two produce identical event
-// orderings. A Simulator runs the wheel unless its constructor is handed
-// another engine.
+// Engine: a hierarchical timer wheel whose steady-state schedule->fire path
+// does zero heap allocations (arena-recycled intrusive nodes + small-buffer
+// inline callbacks). The queue sits behind the EventQueue interface so the
+// tests can hand a Simulator their binary-heap reference queue
+// (tests/heap_event_queue.h) and prove, by differential fuzzing, that the
+// wheel fires events in the same order.
 //
 // Observability: set_profiler() attaches a steady-clock hook that records the
 // wall-clock nanoseconds spent inside each event callback into a telemetry
@@ -33,12 +32,6 @@
 
 namespace floc {
 
-enum class SimEngine {
-  kHeap,   // seed std::priority_queue engine (reference implementation)
-  kWheel,  // hierarchical timer wheel + calendar fallback (default)
-};
-const char* to_string(SimEngine e);
-
 class Simulator {
  public:
   using Callback = SimCallback;
@@ -53,11 +46,12 @@ class Simulator {
     explicit operator bool() const { return node != nullptr; }
   };
 
-  explicit Simulator(SimEngine engine = SimEngine::kWheel);
+  Simulator();
+  // Runs on `queue` instead of the timer wheel (the differential tests'
+  // reference queue); `queue` must be empty.
+  explicit Simulator(std::unique_ptr<EventQueue> queue);
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-
-  SimEngine engine() const { return engine_kind_; }
 
   TimeSec now() const { return now_; }
 
@@ -102,9 +96,8 @@ class Simulator {
 
   // Cancel a scheduled event. True if the event was still pending (it will
   // never fire); false for stale/foreign/already-cancelled handles. O(1):
-  // the node is flagged and discarded when the queue reaches it, which
-  // keeps both engines' pop order — and therefore golden traces —
-  // identical.
+  // the node is flagged and discarded when the queue reaches it, so the
+  // surviving events' (time, seq) order is untouched.
   bool cancel(TimerHandle h);
 
   // Run until the event queue drains or the clock passes `t_end`.
@@ -171,7 +164,6 @@ class Simulator {
   std::size_t live_ = 0;
   telemetry::LogHistogram* profile_ns_ = nullptr;
   telemetry::Profiler::Section* profile_section_ = nullptr;
-  SimEngine engine_kind_;
   // The arena outlives the queue member below only by declaration order;
   // neither touches the other on destruction (pending callbacks are
   // destroyed by the arena's chunks).

@@ -36,7 +36,7 @@ bool from_string(const std::string& name, AttackType* out) {
 }
 
 TreeScenario::TreeScenario(TreeScenarioConfig cfg)
-    : cfg_(cfg), sim_(cfg.engine), net_(&sim_), rng_(cfg.seed) {
+    : cfg_(cfg), net_(&sim_), rng_(cfg.seed) {
   build();
 }
 

@@ -102,9 +102,6 @@ struct TreeScenarioConfig {
   bool record_path_series = false;
   TimeSec path_series_bucket = 1.0;
   std::uint64_t seed = 1;
-  // Event-queue engine for the scenario's Simulator (golden-trace identity
-  // across engines is pinned by the runner determinism tests).
-  SimEngine engine = SimEngine::kWheel;
 };
 
 class TreeScenario {

@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "heap_event_queue.h"
 #include "netsim/simulator.h"
 #include "util/rng.h"
 
@@ -52,7 +53,7 @@ struct Slot {
 
 // One simulator under test plus everything the script needs to drive it.
 struct Lane {
-  explicit Lane(SimEngine e) : sim(e) {}
+  explicit Lane(Engine e) : sim(make_event_queue(e)) {}
   Simulator sim;
   std::vector<Fire> log;
   std::vector<Simulator::TimerHandle> handles;  // index-aligned across lanes
@@ -62,7 +63,7 @@ struct Lane {
 
 class Harness {
  public:
-  Harness() : heap_(SimEngine::kHeap), wheel_(SimEngine::kWheel) {}
+  Harness() : heap_(Engine::kHeap), wheel_(Engine::kWheel) {}
 
   // Schedule event `id` at absolute time `t` on both lanes. Depth-limited
   // reentrancy: when fired, an event may schedule children at deterministic
@@ -362,8 +363,8 @@ TEST(EngineDifferentialDirected, ReentrantReservedFillMergesIntoFiringTick) {
   // at t=1 (same instant), one at t=1+2e-7 (same 1 µs tick). That event
   // fills both while its tick is being drained; each must still fire ahead
   // of the events queued after the reservation at its own time.
-  Simulator heap(SimEngine::kHeap);
-  Simulator wheel(SimEngine::kWheel);
+  Simulator heap(make_event_queue(Engine::kHeap));
+  Simulator wheel(make_event_queue(Engine::kWheel));
   for (Simulator* sim : {&heap, &wheel}) {
     std::vector<int> fired;
     std::uint64_t same_instant = 0;
@@ -384,7 +385,7 @@ TEST(EngineDifferentialDirected, ReentrantReservedFillMergesIntoFiringTick) {
     sim->schedule_at(1.0 + 1e-7, [&] { fired.push_back(4); });
     sim->run();
     const std::vector<int> want = {1, 2, 3, 4, 5, 6};
-    EXPECT_EQ(fired, want) << to_string(sim->engine());
+    EXPECT_EQ(fired, want) << (sim == &heap ? "heap" : "wheel");
   }
 }
 
@@ -452,8 +453,8 @@ TEST(EngineDifferentialDirected, SameInstantFifo) {
 // Directed: cancelling from inside a callback, including the event that is
 // next to fire in the same tick.
 TEST(EngineDifferentialDirected, ReentrantCancel) {
-  Simulator heap(SimEngine::kHeap);
-  Simulator wheel(SimEngine::kWheel);
+  Simulator heap(make_event_queue(Engine::kHeap));
+  Simulator wheel(make_event_queue(Engine::kWheel));
   for (Simulator* sim : {&heap, &wheel}) {
     std::vector<int> fired;
     Simulator::TimerHandle victim;  // filled after the canceller is queued
@@ -467,7 +468,7 @@ TEST(EngineDifferentialDirected, ReentrantCancel) {
     sim->run();
     EXPECT_EQ(sim->events_processed(), 2u);
     EXPECT_EQ(sim->cancelled_events(), 1u);
-    ASSERT_EQ(fired.size(), 2u) << to_string(sim->engine());
+    ASSERT_EQ(fired.size(), 2u) << (sim == &heap ? "heap" : "wheel");
     EXPECT_EQ(fired[0], 1);
     EXPECT_EQ(fired[1], 3);
   }

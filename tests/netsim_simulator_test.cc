@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "heap_event_queue.h"
+
 #include <cstdlib>
 #include <functional>
 #include <memory>
@@ -11,11 +13,12 @@
 namespace floc {
 namespace {
 
-// The core contract tests run against BOTH engines: the heap reference and
-// the shipping timer wheel must be observationally identical.
-class SimulatorContract : public ::testing::TestWithParam<SimEngine> {
+// The core contract tests run on both event queues: the timer wheel every
+// Simulator runs, and the heap reference queue the differential tests
+// compare it against — an oracle must meet the contract it is trusted for.
+class SimulatorContract : public ::testing::TestWithParam<Engine> {
  protected:
-  Simulator sim{GetParam()};
+  Simulator sim{make_event_queue(GetParam())};
 };
 
 TEST_P(SimulatorContract, RunsEventsInTimeOrder) {
@@ -176,7 +179,7 @@ TEST_P(SimulatorContract, PendingCallbacksReleaseOwnedStateOnDestruction) {
   auto tracked = std::make_shared<int>(1);
   ASSERT_EQ(tracked.use_count(), 1);
   {
-    Simulator inner(GetParam());
+    Simulator inner(make_event_queue(GetParam()));
     inner.schedule_at(100.0, [keep = tracked] { (void)*keep; });
     inner.schedule_at(200.0, [keep = tracked] { (void)*keep; });
     inner.run_until(1.0);  // early exit: both events still pending
@@ -196,19 +199,10 @@ TEST_P(SimulatorContract, CancelledCallbackStateIsReleasedWhenDiscarded) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, SimulatorContract,
-                         ::testing::Values(SimEngine::kHeap,
-                                           SimEngine::kWheel),
-                         [](const ::testing::TestParamInfo<SimEngine>& info) {
+                         ::testing::Values(Engine::kHeap, Engine::kWheel),
+                         [](const ::testing::TestParamInfo<Engine>& info) {
                            return to_string(info.param);
                          });
-
-TEST(SimEngineSelection, DefaultIsWheelAndEnvAndSetterOverride) {
-  // No process-wide setting exists: a default Simulator is always wheel.
-  EXPECT_EQ(std::string(to_string(SimEngine::kHeap)), "heap");
-  EXPECT_EQ(std::string(to_string(SimEngine::kWheel)), "wheel");
-  Simulator def;
-  EXPECT_EQ(def.engine(), SimEngine::kWheel);
-}
 
 }  // namespace
 }  // namespace floc

@@ -14,6 +14,7 @@
 #include <functional>
 #include <string>
 
+#include "heap_event_queue.h"
 #include "netsim/simulator.h"
 #include "telemetry/telemetry.h"
 #include "topology/defense_factory.h"
@@ -447,8 +448,8 @@ TEST_P(QueueFuzz, StateChurnBoundedTables) {
 
 // Engine-lockstep phase (ISSUE 10, satellite 5): the same phase-structured
 // mode-transition workload, but driven THROUGH a Simulator by a
-// self-rescheduling driver event — once on the heap engine, once on the
-// wheel — with scheduler ops (timer schedules, cancels, quiet-gap jumps,
+// self-rescheduling driver event — once on the heap reference queue, once
+// on the wheel — with scheduler ops (timer schedules, cancels, quiet-gap jumps,
 // mid-stream FLoc faults, forced control passes) mixed into the packet
 // stream. The per-engine Rng streams are seeded identically, so every
 // observable (conservation counters, final clock, events processed and
@@ -464,7 +465,7 @@ struct EngineRun {
   std::string journal;
 };
 
-EngineRun run_mode_transition_world(const FuzzCase& fc, SimEngine engine) {
+EngineRun run_mode_transition_world(const FuzzCase& fc, Engine engine) {
   DefenseFactoryConfig cfg;
   cfg.link_bandwidth = mbps(10);
   cfg.buffer_packets = 64;
@@ -476,7 +477,7 @@ EngineRun run_mode_transition_world(const FuzzCase& fc, SimEngine engine) {
   telemetry::Telemetry tel;
   if (fq != nullptr) fq->attach_telemetry(&tel);
 
-  Simulator sim(engine);
+  Simulator sim(make_event_queue(engine));
   Rng rng(derive_seed(fc.seed, 0, /*salt=*/0xF025));
   EngineRun r;
   int steps = 0;
@@ -545,9 +546,9 @@ EngineRun run_mode_transition_world(const FuzzCase& fc, SimEngine engine) {
 }
 
 TEST_P(QueueFuzz, EngineLockstepModeTransitions) {
-  const EngineRun heap = run_mode_transition_world(GetParam(), SimEngine::kHeap);
+  const EngineRun heap = run_mode_transition_world(GetParam(), Engine::kHeap);
   const EngineRun wheel =
-      run_mode_transition_world(GetParam(), SimEngine::kWheel);
+      run_mode_transition_world(GetParam(), Engine::kWheel);
   EXPECT_EQ(heap.offered, wheel.offered);
   EXPECT_EQ(heap.admitted, wheel.admitted);
   EXPECT_EQ(heap.serviced, wheel.serviced);

@@ -16,6 +16,7 @@
 // round list), FLoc with a stable flow and path set.
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -44,6 +45,11 @@ struct Discipline {
   std::string name;
   std::function<std::unique_ptr<QueueDisc>()> make;
 };
+
+// gtest appends the printed parameter to each test's name; without this it
+// would dump the object's bytes, heap pointers included, and the names
+// would differ from run to run.
+void PrintTo(const Discipline& d, std::ostream* os) { *os << d.name; }
 
 std::vector<Discipline> disciplines() {
   std::vector<Discipline> out;

@@ -45,8 +45,7 @@ struct CaseHashes {
 
 // A shrunk fig06 case: one fully isolated world per run — own Simulator +
 // Rng (seeded from the derived per-run seed), own Telemetry and Tracer.
-CaseHashes run_case(AttackType attack, std::uint64_t seed,
-                    SimEngine engine = SimEngine::kWheel) {
+CaseHashes run_case(AttackType attack, std::uint64_t seed) {
   TreeScenarioConfig cfg;
   cfg.scale = 0.05;
   cfg.duration = 12.0;
@@ -56,7 +55,6 @@ CaseHashes run_case(AttackType attack, std::uint64_t seed,
   cfg.attack = attack;
   cfg.attack_rate = mbps(2.0);
   cfg.seed = seed;
-  cfg.engine = engine;
   if (attack == AttackType::kShrew) {
     cfg.shrew_period = 0.05;
     cfg.shrew_duty = 0.25;
@@ -81,13 +79,12 @@ CaseHashes run_case(AttackType attack, std::uint64_t seed,
   return h;
 }
 
-std::vector<CaseHashes> sweep(int jobs,
-                              SimEngine engine = SimEngine::kWheel) {
+std::vector<CaseHashes> sweep(int jobs) {
   const AttackType attacks[] = {AttackType::kTcpPopulation, AttackType::kCbr,
                                 AttackType::kShrew};
   return runner::run_indexed<CaseHashes>(jobs, 3, [&](std::size_t i) {
     return run_case(attacks[i],
-                    derive_seed(kMaster, i, kSeedStreamTreeScenario), engine);
+                    derive_seed(kMaster, i, kSeedStreamTreeScenario));
   });
 }
 
@@ -118,31 +115,6 @@ TEST(GoldenTrace, RepeatedParallelSweepsReproduce) {
   for (std::size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i].journal_hash, second[i].journal_hash) << "case " << i;
     EXPECT_EQ(first[i].spans_hash, second[i].spans_hash) << "case " << i;
-  }
-}
-
-// The engine-swap identity (ISSUE 10, satellite 2): the timer-wheel engine
-// must reproduce the heap engine's derived artifacts byte for byte — same
-// journal bytes, same span CSV — serially and on a contended 8-wide pool.
-// This is what licenses shipping the wheel as the default: every golden
-// baseline recorded under the heap engine stays valid.
-TEST(GoldenTrace, WheelEngineMatchesHeapByteForByte) {
-  for (const int jobs : {1, 8}) {
-    const auto heap = sweep(jobs, SimEngine::kHeap);
-    const auto wheel = sweep(jobs, SimEngine::kWheel);
-    ASSERT_EQ(heap.size(), wheel.size());
-    for (std::size_t i = 0; i < heap.size(); ++i) {
-      EXPECT_EQ(heap[i].seed, wheel[i].seed) << "case " << i;
-      EXPECT_EQ(heap[i].journal_hash, wheel[i].journal_hash)
-          << "case " << i << " (--jobs " << jobs
-          << "): event journal diverged across engines";
-      EXPECT_EQ(heap[i].spans_hash, wheel[i].spans_hash)
-          << "case " << i << " (--jobs " << jobs
-          << "): span trace diverged across engines";
-      EXPECT_EQ(heap[i].journal_events, wheel[i].journal_events);
-      EXPECT_EQ(heap[i].spans, wheel[i].spans);
-      EXPECT_GT(heap[i].journal_events, 0u);
-    }
   }
 }
 

@@ -5,8 +5,10 @@
 // placed by telemetry_fastpath_test.cc in this same binary). What we pin:
 // once the arena and the engine's internal vectors are warm, the
 // steady-state schedule_in -> fire cycle performs ZERO heap allocations for
-// callbacks that fit the inline buffer — on the wheel engine (the shipping
-// default) and on the reference heap engine alike. The inline-capacity
+// callbacks that fit the inline buffer. The suite is parameterized by event
+// queue but instantiated for the timer wheel only: the heap reference queue
+// (tests/heap_event_queue.h) runs nowhere outside the differential tests,
+// so its allocation profile does not matter. The inline-capacity
 // escape hatch (oversized captures fall back to one heap cell) is exercised
 // too, so the zero measurement cannot be the counter failing to count.
 
@@ -15,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "heap_event_queue.h"
 #include "netsim/simulator.h"
 #include "telemetry/alloc_counter.h"
 
@@ -39,10 +42,10 @@ struct Ticker {
 };
 static_assert(Simulator::Callback::fits_inline<Ticker>());
 
-class SchedulerFastPath : public ::testing::TestWithParam<SimEngine> {};
+class SchedulerFastPath : public ::testing::TestWithParam<Engine> {};
 
 TEST_P(SchedulerFastPath, SteadyStateScheduleDispatchAllocatesNothing) {
-  Simulator sim(GetParam());
+  Simulator sim(make_event_queue(GetParam()));
   std::uint64_t fuel = 100'000;
   // Warm-up: grows arena chunks, the engines' internal vectors, and the
   // ready heap to their steady footprint. A handful of concurrent tickers
@@ -59,13 +62,13 @@ TEST_P(SchedulerFastPath, SteadyStateScheduleDispatchAllocatesNothing) {
   sim.run_until(sim.now() + 10.0);  // burns the remaining fuel
   EXPECT_EQ(fuel, 0u);
   EXPECT_EQ(guard.allocs(), 0u)
-      << to_string(sim.engine())
+      << to_string(GetParam())
       << " engine allocated on the steady schedule->fire path";
   EXPECT_EQ(guard.frees(), 0u);
 }
 
 TEST_P(SchedulerFastPath, CancelAndLateClampStayOnTheZeroAllocPath) {
-  Simulator sim(GetParam());
+  Simulator sim(make_event_queue(GetParam()));
   std::uint64_t fuel = 100'000;
   sim.schedule_in(1e-4, Ticker{&sim, 1e-4, &fuel});
   // Late schedule (clamped to now) plus a cancelled future event: both
@@ -84,7 +87,7 @@ TEST_P(SchedulerFastPath, CancelAndLateClampStayOnTheZeroAllocPath) {
   ASSERT_GT(sim.events_processed(), 10u);
   ScopedAllocCount guard;
   mix(200);
-  EXPECT_EQ(guard.allocs(), 0u) << to_string(sim.engine());
+  EXPECT_EQ(guard.allocs(), 0u) << to_string(GetParam());
   EXPECT_GT(sim.late_events(), 0u);
   EXPECT_GT(sim.cancelled_events(), 0u);
 }
@@ -101,7 +104,7 @@ TEST_P(SchedulerFastPath, OversizedCaptureFallsBackToExactlyOneHeapCell) {
   };
   static_assert(!Simulator::Callback::fits_inline<Big>());
 
-  Simulator sim(GetParam());
+  Simulator sim(make_event_queue(GetParam()));
   bool hit = false;
   sim.schedule_in(0.5, [] {});  // warm the arena chunk
   sim.run();
@@ -122,7 +125,7 @@ TEST_P(SchedulerFastPath, ArenaFootprintTracksPendingEvents) {
   // of events the queue physically holds at every point, and drops to zero
   // once the simulation drains — 5000 dispatches never outgrow the
   // 16-event steady footprint.
-  Simulator sim(GetParam());
+  Simulator sim(make_event_queue(GetParam()));
   std::uint64_t fuel = 5000;
   for (int i = 0; i < 16; ++i) {
     sim.schedule_in(1e-6 * (i + 1), Ticker{&sim, 1e-5, &fuel});
@@ -137,9 +140,8 @@ TEST_P(SchedulerFastPath, ArenaFootprintTracksPendingEvents) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, SchedulerFastPath,
-                         ::testing::Values(SimEngine::kHeap,
-                                           SimEngine::kWheel),
-                         [](const ::testing::TestParamInfo<SimEngine>& info) {
+                         ::testing::Values(Engine::kWheel),
+                         [](const ::testing::TestParamInfo<Engine>& info) {
                            return to_string(info.param);
                          });
 

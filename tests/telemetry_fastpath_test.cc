@@ -51,7 +51,7 @@ Packet make_packet(FlowId flow, const PathId& path) {
   return p;
 }
 
-// The router_design_micro workload: a fixed flow population cycling
+// perf_suite's observer-overhead workload: a fixed flow population cycling
 // enqueue/dequeue at ~10 Gbps pacing. Returns total admitted.
 std::uint64_t run_workload(FlocQueue& q, int packets) {
   const PathId paths[4] = {PathId::of({1, 101}), PathId::of({2, 102}),
