@@ -1,17 +1,17 @@
-// Shared plumbing for the figure-reproduction harnesses: flag parsing
-// (--scale / --paper / --quick), table printing, and the common Section VI
+// Shared plumbing for the figure runner (bench/floc_figures) and the perf
+// tools: flag parsing (--scale / --paper / --quick / --seed / --jobs /
+// --metrics-out), the run manifest, metric export, and the common Section VI
 // scenario defaults.
-//
-// Every bench prints (a) the paper's qualitative expectation for the figure
-// and (b) the measured rows, in a layout mirroring the original table/plot,
-// so EXPERIMENTS.md can record paper-vs-measured side by side.
 #pragma once
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
-#include <iterator>
+#include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,9 +38,13 @@ struct BenchArgs {
   // ("none" writes nothing).
   std::string metrics_out = "none";
 
+  // Parses argv[1..argc). A malformed or unknown flag prints usage and
+  // exits 2: a non-numeric, non-finite or non-positive --scale, a --seed
+  // that is not a non-negative integer, or a non-integer --jobs.
   static BenchArgs parse(int argc, char** argv) {
     BenchArgs a;
     for (int i = 1; i < argc; ++i) {
+      const bool has_value = i + 1 < argc;
       if (std::strcmp(argv[i], "--paper") == 0) {
         a.paper = true;
         a.scale = 1.0;
@@ -49,14 +53,17 @@ struct BenchArgs {
         a.scale = 0.08;
         a.duration = 40.0;
         a.measure_start = 15.0;
-      } else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
-        a.scale = std::atof(argv[++i]);
-      } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-        a.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-      } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-        a.jobs = std::atoi(argv[++i]);
+      } else if (std::strcmp(argv[i], "--scale") == 0 && has_value &&
+                 parse_scale(argv[i + 1], &a.scale)) {
+        ++i;
+      } else if (std::strcmp(argv[i], "--seed") == 0 && has_value &&
+                 parse_seed(argv[i + 1], &a.seed)) {
+        ++i;
+      } else if (std::strcmp(argv[i], "--jobs") == 0 && has_value &&
+                 parse_jobs(argv[i + 1], &a.jobs)) {
+        ++i;
         if (a.jobs <= 0) a.jobs = runner::default_jobs();
-      } else if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc &&
+      } else if (std::strcmp(argv[i], "--metrics-out") == 0 && has_value &&
                  (std::strcmp(argv[i + 1], "csv") == 0 ||
                   std::strcmp(argv[i + 1], "json") == 0 ||
                   std::strcmp(argv[i + 1], "none") == 0)) {
@@ -77,6 +84,33 @@ struct BenchArgs {
   // world is independent and identical at any --jobs value.
   std::uint64_t run_seed(std::uint64_t index, std::uint64_t salt = 0) const {
     return derive_seed(seed, index, salt);
+  }
+
+ private:
+  // Each writes `*out` and returns whether all of `s` was a valid value;
+  // parse() exits on false, so a rejected value is never used.
+  static bool parse_scale(const char* s, double* out) {
+    char* end = nullptr;
+    errno = 0;
+    *out = std::strtod(s, &end);
+    return end != s && *end == '\0' && errno == 0 && std::isfinite(*out) &&
+           *out > 0.0;
+  }
+  static bool parse_seed(const char* s, std::uint64_t* out) {
+    char* end = nullptr;
+    errno = 0;
+    *out = std::strtoull(s, &end, 10);
+    // strtoull negates "-5" instead of rejecting it: require a digit first.
+    return *s >= '0' && *s <= '9' && *end == '\0' && errno == 0;
+  }
+  static bool parse_jobs(const char* s, int* out) {
+    char* end = nullptr;
+    errno = 0;
+    const long v = std::strtol(s, &end, 10);
+    *out = static_cast<int>(v);
+    return end != s && *end == '\0' && errno == 0 &&
+           v >= std::numeric_limits<int>::min() &&
+           v <= std::numeric_limits<int>::max();
   }
 };
 
@@ -185,17 +219,7 @@ class RunManifest {
 
  private:
   static std::string escaped(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      if (c == '\n') {
-        out += "\\n";
-        continue;
-      }
-      out += c;
-    }
-    return out;
+    return json::JsonWriter::escaped(s);
   }
 
   struct RunRecord {
@@ -213,13 +237,25 @@ class RunManifest {
   std::vector<std::string> artifacts_;
 };
 
-// Unified final-value metric export behind --metrics-out, replacing the
-// per-bench hand-rolled dumps. Writes "<stem>.metrics.csv" (metric,value
-// rows) or "<stem>.metrics.json" (one flat object) in registration order,
-// through the registry's scalar view (histograms export their count).
-// Returns the artifact path, empty when metrics_out is "none" or the write
-// failed — callers feed it straight to the manifest / artifact list.
-inline std::string save_metrics(const telemetry::MetricRegistry& reg,
+// Final values of a metric registry in registration order, through its
+// scalar view (histograms export their count). Taken inside a run, while
+// the world its gauges read is still alive.
+using MetricSnapshot = std::vector<std::pair<std::string, double>>;
+
+inline MetricSnapshot snapshot(const telemetry::MetricRegistry& reg) {
+  MetricSnapshot out;
+  out.reserve(reg.metrics().size());
+  for (const auto& m : reg.metrics()) {
+    out.emplace_back(m->name, reg.value(m->name));
+  }
+  return out;
+}
+
+// Final-value metric export behind --metrics-out. Writes
+// "<stem>.metrics.csv" (metric,value rows) or "<stem>.metrics.json" (one
+// flat object). Returns the artifact path, empty when metrics_out is "none"
+// or the write failed.
+inline std::string save_metrics(const MetricSnapshot& metrics,
                                 const BenchArgs& a, const std::string& stem) {
   if (a.metrics_out == "none") return {};
   std::string path, body;
@@ -227,15 +263,15 @@ inline std::string save_metrics(const telemetry::MetricRegistry& reg,
     path = stem + ".metrics.csv";
     body = "metric,value\n";
     char buf[48];
-    for (const auto& m : reg.metrics()) {
-      std::snprintf(buf, sizeof(buf), ",%.9g\n", reg.value(m->name));
-      body += m->name + buf;
+    for (const auto& [name, value] : metrics) {
+      std::snprintf(buf, sizeof(buf), ",%.9g\n", value);
+      body += name + buf;
     }
   } else {
     path = stem + ".metrics.json";
     json::JsonWriter w;
     w.begin_object();
-    for (const auto& m : reg.metrics()) w.field(m->name, reg.value(m->name));
+    for (const auto& [name, value] : metrics) w.field(name, value);
     w.end_object();
     body = w.str() + "\n";
   }
@@ -258,29 +294,38 @@ inline TreeScenarioConfig fig5_config(const BenchArgs& a) {
   return cfg;
 }
 
-inline void header(const std::string& title, const std::string& paper_claim,
-                   const BenchArgs& a) {
-  std::printf("==== %s ====\n", title.c_str());
-  std::printf("paper: %s\n", paper_claim.c_str());
-  std::printf("run:   scale=%.2f duration=%.0fs (measured from %.0fs) "
-              "jobs=%d%s\n\n",
-              a.scale, a.duration, a.measure_start, a.jobs,
-              a.paper ? " [PAPER SCALE]" : "");
+// Builds and runs the Fig. 5 scenario seeded with `seed`, after `tweak`
+// has edited its config.
+template <typename Tweak>
+std::unique_ptr<TreeScenario> run_fig5(const BenchArgs& a, std::uint64_t seed,
+                                       Tweak&& tweak) {
+  TreeScenarioConfig cfg = fig5_config(a);
+  cfg.seed = seed;
+  tweak(cfg);
+  auto s = std::make_unique<TreeScenario>(cfg);
+  s->run();
+  return s;
 }
 
-// Number formatting shared with util/stats' format_row so every bench table
-// renders values identically.
-inline void row(const char* label, const std::vector<double>& values,
-                const char* unit = "") {
-  char padded[32];
-  std::snprintf(padded, sizeof(padded), "%-26s", label);
-  std::printf("%s %s\n", format_row(padded, values, 9).c_str(), unit);
+// Class bandwidth over the measurement window, as fractions of the target
+// link: legitimate flows of legitimate paths, legitimate flows inside
+// attack paths, all legitimate flows, attack flows, and everything.
+struct LinkShares {
+  double legit_legit, legit_attack, legit, attack, util;
+};
+
+inline LinkShares link_shares(const TreeScenario& s) {
+  const auto cb = s.class_bandwidth();
+  const double link = s.scaled_target_bw();
+  return {cb.legit_legit_bps / link, cb.legit_attack_bps / link,
+          (cb.legit_legit_bps + cb.legit_attack_bps) / link,
+          cb.attack_bps / link,
+          (cb.legit_legit_bps + cb.legit_attack_bps + cb.attack_bps) / link};
 }
 
-// Mean/stddev columns of per-sample stats; benches that tabulate multiple
-// RunningStats accumulations share this instead of hand-rolled sums.
-inline std::vector<double> mean_stddev(const RunningStats& s) {
-  return {s.mean(), s.stddev()};
+// Reports a failed artifact write; an artifact failure is never fatal.
+inline void warn_unless(bool ok, const char* who, const std::string& err) {
+  if (!ok) std::fprintf(stderr, "%s: %s\n", who, err.c_str());
 }
 
 }  // namespace floc::bench

@@ -1,18 +1,18 @@
 #!/usr/bin/env bash
-# Local pre-PR gate: tier-1 tests, the ASan+UBSan suite, the TSan run of the
-# multi-threaded (ScenarioRunner) suite, a churn smoke run of the
-# fault-injection ablation, a parallel bench smoke (fig06 --jobs 4), the
-# whole-scenario benchmark's unit tests, and the perf-regression gate
-# (perf_suite vs the committed BENCH_perf.json).
+# Local pre-PR gate: tier-1 tests (every figure runs as a `figures`-labelled
+# ctest smoke in its own build-tree directory), the ASan+UBSan suite, the
+# TSan run of the multi-threaded (ScenarioRunner) suite, the whole-scenario
+# benchmark's unit tests, and the perf-regression gate (perf_suite vs the
+# committed BENCH_perf.json).
 # Any failure aborts with nonzero exit.
 #
 #   scripts/check.sh                 # everything
-#   scripts/check.sh --fast          # tier-1 only (skip sanitizers + smokes)
+#   scripts/check.sh --fast          # tier-1 only (skip sanitizers + perf)
 #   scripts/check.sh --preset NAME   # one CMakePresets preset: configure,
-#                                    # build, ctest, smokes (CI entry);
+#                                    # build, ctest (CI entry);
 #                                    # NAME=tsan runs only `ctest -L tsan`
 #
-# Benches write their CSV/JSON time-series into the directory they run from;
+# Figures write their CSV/JSON artifacts into the directory they run from;
 # every mode ends by scanning the source tree for stray generated artifacts,
 # including ones .gitignore would hide.
 set -euo pipefail
@@ -56,41 +56,6 @@ check_no_stray_artifacts() {
   fi
 }
 
-churn_smoke() {
-  local bindir="$1"
-  echo "== churn smoke: fault-injection ablation, short horizon =="
-  # Run from the build tree so the time-series CSVs land there.
-  (cd "$bindir" && ./bench/ablation_churn --quick)
-}
-
-parallel_bench_smoke() {
-  local bindir="$1"
-  echo "== parallel bench smoke: fig06 sweep on a 4-wide pool =="
-  # Exercises the ScenarioRunner path end-to-end; the run manifest records
-  # jobs plus per-run derived seeds and wall times.
-  (cd "$bindir" && ./bench/fig06_attack_confinement --quick --jobs 4)
-}
-
-adaptive_smoke() {
-  local bindir="$1"
-  echo "== adaptive-adversary smoke: hardening scorecard on a 4-wide pool =="
-  # Closed-loop attackers vs the hardening stack; the bench exits nonzero if
-  # any acceptance gate (evasion, confinement, flash-crowd FP) fails. Its
-  # per-case CSVs and journal dumps (ablation_adaptive_*.csv / *.journal.json)
-  # land in the build tree and are covered by the stray-artifact scan.
-  (cd "$bindir" && ./bench/ablation_adaptive --quick --jobs 4)
-}
-
-state_smoke() {
-  local bindir="$1"
-  echo "== state-exhaustion smoke: bounded-table scorecard on a 4-wide pool =="
-  # Identity-churn attacker vs capacity budgets + overload mode; the bench
-  # exits nonzero if any gate fails (legit goodput, table bounds, eviction
-  # re-latch, storm alert). Artifacts (ablation_state_exhaust_*.csv /
-  # *.journal.json / *.alerts.json / *.prom) land in the build tree.
-  (cd "$bindir" && ./bench/ablation_state_exhaust --quick --jobs 4)
-}
-
 scenbench_unit_tests() {
   echo "== scenbench: the whole-scenario benchmark's own unit tests =="
   # Pure-Python reductions and checks of scenbench/run.py; they read saved
@@ -116,20 +81,12 @@ if [[ "${1:-}" == "--preset" ]]; then
   echo "== preset $PRESET: configure + build + ctest =="
   cmake --preset "$PRESET" "${CONFIGURE_ARGS[@]}" > /dev/null
   cmake --build --preset "$PRESET" -j "$JOBS" > /dev/null
-  ctest --preset "$PRESET" -j "$JOBS"
-  # The tsan preset's ctest already ran the label-filtered multi-threaded
-  # suite (runner + parallel scenario/telemetry worlds); the serial churn
-  # smoke would only re-run single-threaded code an order of magnitude
-  # slower, so the smokes stay on the non-tsan legs.
-  if [[ "$PRESET" != "tsan" ]]; then
-    churn_smoke "build-$PRESET"
-    if [[ "$PRESET" == "release" ]]; then
-      scenbench_unit_tests
-      parallel_bench_smoke "build-$PRESET"
-      adaptive_smoke "build-$PRESET"
-      state_smoke "build-$PRESET"
-      perf_gate "build-$PRESET"
-    fi
+  # Every non-tsan preset's ctest runs the figure smokes (label `figures`);
+  # the tsan preset's ctest runs only the label-filtered multi-threaded
+  # suite (runner + parallel scenario/telemetry worlds).
+  if [[ "$PRESET" == "release" ]]; then
+    scenbench_unit_tests
+    perf_gate "build-$PRESET"
   fi
   check_no_stray_artifacts
   echo "== preset $PRESET passed =="
@@ -142,7 +99,7 @@ cmake --build build -j "$JOBS" > /dev/null
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
 if [[ "${1:-}" == "--fast" ]]; then
-  echo "== fast mode: skipping sanitize + churn smoke =="
+  echo "== fast mode: skipping sanitize, tsan + perf gate =="
   check_no_stray_artifacts
   exit 0
 fi
@@ -157,10 +114,6 @@ cmake --preset tsan "${CONFIGURE_ARGS[@]}" > /dev/null
 cmake --build --preset tsan -j "$JOBS" > /dev/null
 ctest --preset tsan -j "$JOBS"
 
-churn_smoke build
-parallel_bench_smoke build
-adaptive_smoke build
-state_smoke build
 perf_gate build
 check_no_stray_artifacts
 

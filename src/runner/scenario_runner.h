@@ -22,6 +22,7 @@
 // let the caller emit them in merge order.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -92,13 +93,15 @@ double timed_seconds(Fn&& fn) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
-// Run `fn(i)` for every i in [0, count) on `jobs` threads and return the
-// results indexed by i — i.e. merged in submission order no matter which
-// run finishes first. R needs to be movable, not default-constructible.
+// Run `fn(i)` for every i in [0, count) on min(jobs, count) threads and
+// return the results indexed by i — i.e. merged in submission order no
+// matter which run finishes first. R needs to be movable, not
+// default-constructible.
 template <typename R, typename Fn>
 std::vector<R> run_indexed(int jobs, std::size_t count, Fn&& fn) {
   std::vector<std::optional<R>> slots(count);
-  ScenarioRunner pool(jobs);
+  ScenarioRunner pool(static_cast<int>(
+      std::min(static_cast<std::size_t>(std::max(jobs, 1)), count)));
   for (std::size_t i = 0; i < count; ++i) {
     pool.submit([&slots, &fn, i] { slots[i].emplace(fn(i)); });
   }

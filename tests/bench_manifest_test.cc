@@ -4,7 +4,9 @@
 // git revision, seed, config map, per-run records, artifact list — including
 // through escaping-hostile labels.
 #include <cstdio>
+#include <initializer_list>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -76,6 +78,56 @@ TEST(RunManifest, WriteEmitsParseableFile) {
   EXPECT_TRUE(json::parse(text, &root, &err)) << err;
   EXPECT_EQ(root.string_or("bench", ""), "manifest_test_bench");
   std::remove(path.c_str());
+}
+
+// BenchArgs::parse over a literal command line (argv[0] included).
+BenchArgs parse(std::initializer_list<const char*> args) {
+  std::vector<std::string> storage(args.begin(), args.end());
+  std::vector<char*> argv;
+  for (std::string& s : storage) argv.push_back(s.data());
+  return BenchArgs::parse(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(BenchArgs, ParsesValidFlags) {
+  const BenchArgs a = parse({"bench", "--scale", "0.5", "--seed", "7",
+                             "--jobs", "3", "--metrics-out", "csv"});
+  EXPECT_DOUBLE_EQ(a.scale, 0.5);
+  EXPECT_EQ(a.seed, 7u);
+  EXPECT_EQ(a.jobs, 3);
+  EXPECT_EQ(a.metrics_out, "csv");
+  // --jobs 0 means "use the machine".
+  EXPECT_EQ(parse({"bench", "--jobs", "0"}).jobs, runner::default_jobs());
+}
+
+TEST(BenchArgsDeathTest, RejectsNonNumericOrNonPositiveScale) {
+  for (const char* bad : {"abc", "0", "-1", "1.5x", "nan", "inf", ""}) {
+    EXPECT_EXIT(parse({"bench", "--scale", bad}),
+                ::testing::ExitedWithCode(2), "usage")
+        << "--scale '" << bad << "'";
+  }
+}
+
+TEST(BenchArgsDeathTest, RejectsNegativeOrNonIntegerSeed) {
+  for (const char* bad : {"-5", "1.5", "abc", "+3", ""}) {
+    EXPECT_EXIT(parse({"bench", "--seed", bad}),
+                ::testing::ExitedWithCode(2), "usage")
+        << "--seed '" << bad << "'";
+  }
+}
+
+TEST(BenchArgsDeathTest, RejectsNonIntegerJobs) {
+  for (const char* bad : {"abc", "2.5", "4x", ""}) {
+    EXPECT_EXIT(parse({"bench", "--jobs", bad}),
+                ::testing::ExitedWithCode(2), "usage")
+        << "--jobs '" << bad << "'";
+  }
+}
+
+TEST(BenchArgsDeathTest, RejectsUnknownAndIncompleteFlags) {
+  EXPECT_EXIT(parse({"bench", "--bogus"}), ::testing::ExitedWithCode(2),
+              "usage");
+  EXPECT_EXIT(parse({"bench", "--scale"}), ::testing::ExitedWithCode(2),
+              "usage");
 }
 
 }  // namespace

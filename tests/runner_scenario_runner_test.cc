@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -59,6 +60,32 @@ TEST(RunIndexed, MergesInSubmissionOrderNotCompletionOrder) {
   for (std::size_t i = 0; i < kRuns; ++i) EXPECT_EQ(results[i], i);
   // The first-submitted index completed last.
   EXPECT_EQ(completion_rank[0], static_cast<int>(kRuns) - 1);
+}
+
+std::size_t live_threads() {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+// The pool is sized by the work: a 2-run sweep at jobs = 16 starts at most
+// two threads, not sixteen.
+TEST(RunIndexed, PoolIsNoWiderThanTheWork) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task to count threads";
+  }
+  // A sanitizer runtime starts a helper thread with the process's first
+  // spawned thread; spawn one first so `before` already counts it.
+  std::thread([] {}).join();
+  const std::size_t before = live_threads();
+  const auto during = run_indexed<std::size_t>(
+      16, 2, [](std::size_t) { return live_threads(); });
+  ASSERT_EQ(during.size(), 2u);
+  for (std::size_t n : during) EXPECT_LE(n, before + 2);
 }
 
 TEST(RunIndexed, WorksWithMoveOnlyNonDefaultConstructibleResults) {
