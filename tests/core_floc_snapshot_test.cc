@@ -6,6 +6,7 @@
 
 #include <set>
 #include <string>
+#include <utility>
 
 #include "baselines/drr_queue.h"
 #include "baselines/priority_fair.h"
@@ -165,6 +166,64 @@ TEST(FlocSnapshot, SnapshotIsDeterministicAcrossIdenticalRuns) {
     return snapshot_of(q, t);
   };
   EXPECT_EQ(run(), run());
+}
+
+// An aggregation run only plans: an origin keeps reporting its old
+// aggregate until its next data packet or the next control tick adopts the
+// planned one. The snapshot's "plan" section shows the plan at once.
+TEST(FlocSnapshot, PlannedMergeIsAdoptedOnNextPacketOrTick) {
+  FlocConfig cfg = small_cfg();
+  cfg.control_interval = 0.1;
+  cfg.enable_aggregation = true;
+  cfg.aggregation_every = 1;
+  cfg.s_max = 1;  // two legitimate siblings must merge into their prefix
+  FlocQueue q(cfg);
+  const PathId a = PathId::of({1, 10});
+  const PathId b = PathId::of({1, 11});
+  q.enqueue(data(1, a, /*src=*/1), 0.0);
+  q.enqueue(data(2, b, /*src=*/2), 0.0);
+
+  // Reads (adopted aggregate, planned aggregate) for `path` from a snapshot.
+  const auto keys_of = [&q](const PathId& path, TimeSec now) {
+    json::Value v;
+    std::string err;
+    EXPECT_TRUE(json::parse(snapshot_of(q, now), &v, &err)) << err;
+    double adopted = -1.0;
+    double planned = -1.0;
+    for (const json::Value& o : v.get("origins")->items) {
+      if (o.string_or("path", "") == path.to_string()) {
+        adopted = o.number_or("aggregate_key", -1.0);
+      }
+    }
+    const double okey = static_cast<double>(path.key());
+    for (const json::Value& e : v.get("plan")->items) {
+      if (e.number_or("origin", -1.0) == okey) {
+        planned = e.number_or("aggregate", -1.0);
+      }
+    }
+    return std::pair{adopted, planned};
+  };
+
+  q.run_control(0.01);  // identity rebuild, then the merge is planned
+  const auto [a_adopted, a_planned] = keys_of(a, 0.01);
+  const auto [b_adopted, b_planned] = keys_of(b, 0.01);
+  EXPECT_EQ(a_adopted, static_cast<double>(a.key()));
+  EXPECT_EQ(b_adopted, static_cast<double>(b.key()));
+  EXPECT_NE(a_planned, a_adopted);
+  EXPECT_EQ(a_planned, b_planned);
+  EXPECT_FALSE(q.is_aggregated(a));
+  EXPECT_FALSE(q.is_aggregated(b));
+
+  q.enqueue(data(1, a, /*src=*/1), 0.02);  // a's packet adopts the plan
+  EXPECT_TRUE(q.is_aggregated(a));
+  EXPECT_FALSE(q.is_aggregated(b));
+  EXPECT_EQ(keys_of(a, 0.02).first, a_planned);
+  EXPECT_EQ(keys_of(b, 0.02).first, b_adopted);
+
+  q.run_control(0.03);  // the tick's rebuild adopts it for silent b
+  EXPECT_TRUE(q.is_aggregated(b));
+  EXPECT_EQ(keys_of(b, 0.03).first, b_planned);
+  EXPECT_EQ(keys_of(b, 0.03).second, b_planned);
 }
 
 // Every baseline dumps at least {scheme, packets, bytes, drops, admissions}

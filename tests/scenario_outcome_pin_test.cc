@@ -27,6 +27,7 @@ struct PinCase {
   const char* name;
   DefenseScheme scheme;
   AttackType attack;
+  void (*tune)(TreeScenarioConfig&) = nullptr;  // case-specific settings
 };
 
 struct PinOutcome {
@@ -38,6 +39,26 @@ struct PinOutcome {
   std::uint64_t packets_sent = 0;
 };
 
+// scenbench's floc_churn world: identity churn against FLoc with every
+// per-path table budgeted, overload mode, backoff release and the blacklist
+// armed, so most packets insert into or evict from the path tables.
+void state_exhaust_budgeted(TreeScenarioConfig& cfg) {
+  cfg.state_churn_per_sec = 100.0;
+  cfg.state_identity_pool = 1 << 10;
+  cfg.floc.origin_budget.capacity = 96;
+  cfg.floc.origin_budget.policy = EvictionPolicy::kLru;
+  cfg.floc.flow_budget.capacity = 48;
+  cfg.floc.offense_budget.capacity = 64;
+  cfg.floc.offender_budget.capacity = 64;
+  cfg.floc.enable_overload_mode = true;
+  cfg.floc.backoff_release = true;
+  cfg.floc.enable_blacklist = true;
+}
+
+// 27 leaf paths, 6 of them attack paths: |S|_max = 24 leaves room for 3
+// attack identifiers, so attack-path aggregation merges the attack tree.
+void small_s_max(TreeScenarioConfig& cfg) { cfg.floc.s_max = 24; }
+
 constexpr PinCase kCases[] = {
     {"floc_tcp_population", DefenseScheme::kFloc, AttackType::kTcpPopulation},
     {"floc_cbr", DefenseScheme::kFloc, AttackType::kCbr},
@@ -45,6 +66,10 @@ constexpr PinCase kCases[] = {
     {"droptail_cbr", DefenseScheme::kDropTail, AttackType::kCbr},
     {"red_pd_cbr", DefenseScheme::kRedPd, AttackType::kCbr},
     {"pushback_cbr", DefenseScheme::kPushback, AttackType::kCbr},
+    {"floc_state_exhaust_budgeted", DefenseScheme::kFloc,
+     AttackType::kStateExhaust, state_exhaust_budgeted},
+    {"floc_cbr_s_max_24", DefenseScheme::kFloc, AttackType::kCbr,
+     small_s_max},
 };
 
 // Index-aligned with kCases. Drop columns: queue_full, token, preferential,
@@ -74,6 +99,14 @@ const PinOutcome kPinned[] = {
      {2500, 0, 0, 0, 32, 0, 0, 0},
      47790000, 2800500, 22194000,
      48710u},
+    {52151u,
+     {268, 1515, 761, 1519, 0, 0, 0, 1116897},
+     52692000, 16122000, 708800,
+     52098u},
+    {48856u,
+     {0, 1277, 54703, 4768, 0, 0, 0, 0},
+     61167000, 3250500, 8332500,
+     48804u},
 };
 static_assert(std::size(kCases) == std::size(kPinned));
 
@@ -92,6 +125,7 @@ TreeScenarioConfig pin_cfg(const PinCase& c) {
   cfg.seed = 11;
   cfg.scheme = c.scheme;
   cfg.attack = c.attack;
+  if (c.tune != nullptr) c.tune(cfg);
   return cfg;
 }
 
