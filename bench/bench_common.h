@@ -86,16 +86,9 @@ struct BenchArgs {
     return derive_seed(seed, index, salt);
   }
 
- private:
   // Each writes `*out` and returns whether all of `s` was a valid value;
-  // parse() exits on false, so a rejected value is never used.
-  static bool parse_scale(const char* s, double* out) {
-    char* end = nullptr;
-    errno = 0;
-    *out = std::strtod(s, &end);
-    return end != s && *end == '\0' && errno == 0 && std::isfinite(*out) &&
-           *out > 0.0;
-  }
+  // the callers (parse() here, perf_suite's own parser) exit on false, so a
+  // rejected value is never used.
   static bool parse_seed(const char* s, std::uint64_t* out) {
     char* end = nullptr;
     errno = 0;
@@ -111,6 +104,15 @@ struct BenchArgs {
     return end != s && *end == '\0' && errno == 0 &&
            v >= std::numeric_limits<int>::min() &&
            v <= std::numeric_limits<int>::max();
+  }
+
+ private:
+  static bool parse_scale(const char* s, double* out) {
+    char* end = nullptr;
+    errno = 0;
+    *out = std::strtod(s, &end);
+    return end != s && *end == '\0' && errno == 0 && std::isfinite(*out) &&
+           *out > 0.0;
   }
 };
 

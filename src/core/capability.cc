@@ -12,10 +12,6 @@ CapabilityIssuer::KeySet CapabilityIssuer::derive_keys(std::uint64_t secret) {
 CapabilityIssuer::CapabilityIssuer(std::uint64_t secret, int n_max)
     : keys_(derive_keys(secret)), prev_keys_(keys_), n_max_(n_max) {}
 
-std::uint64_t CapabilityIssuer::path_word(const PathId& path) const {
-  return path.key();
-}
-
 int CapabilityIssuer::slot_of(HostAddr dst) const {
   if (n_max_ <= 0) return 0;
   const std::uint64_t h =
@@ -23,13 +19,13 @@ int CapabilityIssuer::slot_of(HostAddr dst) const {
   return static_cast<int>(h % static_cast<std::uint64_t>(n_max_));
 }
 
-CapabilityIssuer::Caps CapabilityIssuer::issue_with(const KeySet& keys,
-                                                    HostAddr src, HostAddr dst,
-                                                    const PathId& path) const {
+CapabilityIssuer::Caps CapabilityIssuer::issue_with(
+    const KeySet& keys, HostAddr src, HostAddr dst,
+    std::uint64_t path_key) const {
   Caps c;
-  c.cap0 = siphash24_words(
-      keys.k0, {static_cast<std::uint64_t>(src), static_cast<std::uint64_t>(dst),
-                path_word(path)});
+  c.cap0 = siphash24_words(keys.k0, {static_cast<std::uint64_t>(src),
+                                     static_cast<std::uint64_t>(dst),
+                                     path_key});
   std::uint64_t dest_binding = static_cast<std::uint64_t>(dst);
   if (n_max_ > 0) {
     const std::uint64_t h =
@@ -37,7 +33,7 @@ CapabilityIssuer::Caps CapabilityIssuer::issue_with(const KeySet& keys,
     dest_binding = h % static_cast<std::uint64_t>(n_max_);
   }
   c.cap1 = siphash24_words(
-      keys.k1, {static_cast<std::uint64_t>(src), dest_binding, path_word(path)});
+      keys.k1, {static_cast<std::uint64_t>(src), dest_binding, path_key});
   // Hash output 0 is reserved to mean "no capability"; remap.
   if (c.cap0 == 0) c.cap0 = 1;
   if (c.cap1 == 0) c.cap1 = 1;
@@ -45,20 +41,20 @@ CapabilityIssuer::Caps CapabilityIssuer::issue_with(const KeySet& keys,
 }
 
 CapabilityIssuer::Caps CapabilityIssuer::issue(HostAddr src, HostAddr dst,
-                                               const PathId& path) const {
-  return issue_with(keys_, src, dst, path);
+                                               std::uint64_t path_key) const {
+  return issue_with(keys_, src, dst, path_key);
 }
 
-bool CapabilityIssuer::verify(const Packet& p) const {
-  const Caps expect = issue_with(keys_, p.src, p.dst, p.path);
+bool CapabilityIssuer::verify(const Packet& p, std::uint64_t path_key) const {
+  const Caps expect = issue_with(keys_, p.src, p.dst, path_key);
   return p.cap0 == expect.cap0 && p.cap1 == expect.cap1;
 }
 
-CapabilityIssuer::VerifyResult CapabilityIssuer::verify_at(const Packet& p,
-                                                           TimeSec now) const {
-  if (verify(p)) return VerifyResult::kOk;
+CapabilityIssuer::VerifyResult CapabilityIssuer::verify_at(
+    const Packet& p, std::uint64_t path_key, TimeSec now) const {
+  if (verify(p, path_key)) return VerifyResult::kOk;
   if (in_grace(now)) {
-    const Caps old = issue_with(prev_keys_, p.src, p.dst, p.path);
+    const Caps old = issue_with(prev_keys_, p.src, p.dst, path_key);
     if (p.cap0 == old.cap0 && p.cap1 == old.cap1) return VerifyResult::kOkPrevious;
   }
   return VerifyResult::kFail;

@@ -36,13 +36,13 @@ class CapabilityIssuer {
     std::uint64_t cap1 = 0;
   };
 
-  // Issue capabilities for a connection request (stamped into the SYN).
-  // Always uses the current key set.
-  Caps issue(HostAddr src, HostAddr dst, const PathId& path) const;
+  // Issue capabilities for a connection request (stamped into the SYN)
+  // under the current key set; `path_key` is the request's PathId::key().
+  Caps issue(HostAddr src, HostAddr dst, std::uint64_t path_key) const;
 
   // Verify the capabilities carried by a data packet against the current
-  // key set only (no grace semantics).
-  bool verify(const Packet& p) const;
+  // key set only (no grace semantics). `path_key` is p.path.key().
+  bool verify(const Packet& p, std::uint64_t path_key) const;
 
   enum class VerifyResult {
     kOk,          // verifies under the current keys
@@ -51,7 +51,8 @@ class CapabilityIssuer {
   };
 
   // Time-aware verification honoring the rotation grace window.
-  VerifyResult verify_at(const Packet& p, TimeSec now) const;
+  VerifyResult verify_at(const Packet& p, std::uint64_t path_key,
+                         TimeSec now) const;
 
   // Install a new secret at `now`; capabilities issued under the previous
   // secret keep verifying until `now + grace_window`.
@@ -78,8 +79,7 @@ class CapabilityIssuer {
   static KeySet derive_keys(std::uint64_t secret);
 
   Caps issue_with(const KeySet& keys, HostAddr src, HostAddr dst,
-                  const PathId& path) const;
-  std::uint64_t path_word(const PathId& path) const;
+                  std::uint64_t path_key) const;
 
   KeySet keys_;           // current
   KeySet prev_keys_;      // pre-rotation (valid while in grace)

@@ -18,6 +18,7 @@ namespace {
 // Design constants of the mechanism; no scenario, ablation or test varies
 // them.
 constexpr double kQminFrac = 0.2;          // Q_min as a fraction of the buffer
+constexpr double kConformanceBeta = 0.2;   // conformance smoothing (Eq. IV.6)
 constexpr double kAttackMtdFactor = 0.5;   // attack if MTD < factor*refMTD
 constexpr double kMtdWindowFactor = 2.0;   // MTD window = factor*refMTD
 constexpr TimeSec kBackoffRelapse = 3.0;   // relapse window for escalation
@@ -247,17 +248,17 @@ void FlocQueue::snapshot_state(json::JsonWriter& w, TimeSec now) const {
     w.field("key", akey);
     w.field("attack", agg.attack);
     w.field("weight", agg.weight);
-    w.field("n", agg.n);
+    w.field("n", agg.last.n);
     w.field("n_estimated", agg.n_estimated);
     w.field("rtt", agg.rtt);
     w.field("c_bps", agg.c);
-    w.field("lambda_bps", agg.lambda_bps);
+    w.field("lambda_bps", agg.last.lambda_bps);
     w.field("attack_streak", static_cast<std::int64_t>(agg.attack_streak));
     w.field("calm_streak", static_cast<std::int64_t>(agg.calm_streak));
     w.field("dip_strict", agg.dip_strict);
-    w.field("arrivals_interval", agg.arrivals_interval);
-    w.field("drops_interval", agg.drops_interval);
-    w.field("token_misses_interval", agg.token_misses_interval);
+    w.field("arrivals_interval", agg.last.arrivals);
+    w.field("drops_interval", agg.last.drops);
+    w.field("token_misses_interval", agg.last.token_misses);
     w.key("params").begin_object();
     w.field("period", agg.params.period);
     w.field("bucket_packets", agg.params.bucket_packets);
@@ -285,8 +286,9 @@ void FlocQueue::snapshot_state(json::JsonWriter& w, TimeSec now) const {
   // Per-origin flow tables can be large under churn; bound the per-path dump
   // and say how much was omitted rather than truncating silently.
   constexpr std::size_t kMaxFlowsPerOrigin = 32;
+  const std::vector<std::uint64_t> okeys = sorted_keys(origins_);
   w.key("origins").begin_array();
-  for (const std::uint64_t okey : sorted_keys(origins_)) {
+  for (const std::uint64_t okey : okeys) {
     const OriginPathState& op = origins_.at(okey);
     w.begin_object();
     w.field("path", op.path().to_string());
@@ -325,10 +327,12 @@ void FlocQueue::snapshot_state(json::JsonWriter& w, TimeSec now) const {
   w.end_array();
 
   w.key("plan").begin_array();
-  for (const std::uint64_t okey : sorted_keys(plan_map_)) {
+  for (const std::uint64_t okey : okeys) {
+    const std::uint64_t akey = origins_.at(okey).planned_key;
+    if (akey == 0) continue;  // no plan names this origin yet
     w.begin_object();
     w.field("origin", okey);
-    w.field("aggregate", plan_map_.at(okey));
+    w.field("aggregate", akey);
     w.end_object();
   }
   w.end_array();
@@ -415,8 +419,8 @@ void FlocQueue::trace_verdict(const Packet& p, const Aggregate& agg,
   t->annotate(p.span.span, "path", p.path.to_string());
 }
 
-OriginPathState& FlocQueue::origin_state(const PathId& path, bool cap_backed) {
-  const std::uint64_t key = path.key();
+OriginPathState& FlocQueue::origin_state(const PathId& path, std::uint64_t key,
+                                         bool cap_backed) {
   auto it = origins_.find(key);
   if (it == origins_.end()) {
     // Overload mode: NEW per-path state is learned at router-side prefix
@@ -436,10 +440,11 @@ OriginPathState& FlocQueue::origin_state(const PathId& path, bool cap_backed) {
         path.length() > cfg_.overload_path_prefix) {
       PathId coarse = path;
       coarse.truncate_to(cfg_.overload_path_prefix);
-      return origin_state(coarse);
+      return origin_state(coarse, coarse.key());
     }
     enforce_origin_budget();
-    it = origins_.emplace(key, OriginPathState(path, cfg_.beta)).first;
+    it = origins_.emplace(key, OriginPathState(path, key, kConformanceBeta))
+             .first;
   }
   it->second.touch_stamp = ++touch_seq_;
   return it->second;
@@ -470,12 +475,9 @@ void FlocQueue::enforce_origin_budget() {
 }
 
 void FlocQueue::evict_origin(std::uint64_t okey, const OriginPathState& op) {
-  std::uint64_t akey = op.aggregate_key;
-  if (akey == 0) {
-    const auto pit = plan_map_.find(okey);
-    akey = pit != plan_map_.end() ? pit->second : okey;
-  }
-  plan_map_.erase(okey);
+  // 0: a SYN-only origin that no tick has mapped yet (nor planned, since
+  // every aggregation run follows a rebuild that maps all origins).
+  const std::uint64_t akey = op.aggregate_key != 0 ? op.aggregate_key : okey;
   bool guilty = false;
   const auto ait = aggregates_.find(akey);
   if (ait != aggregates_.end()) {
@@ -529,32 +531,30 @@ void FlocQueue::enforce_offender_budget(TimeSec now) {
 }
 
 FlocQueue::Aggregate& FlocQueue::aggregate_for(OriginPathState& op) {
-  const std::uint64_t okey = op.path().key();
-  auto pit = plan_map_.find(okey);
-  std::uint64_t akey;
-  if (pit == plan_map_.end()) {
-    // New origin since the last aggregation run: identity mapping.
-    akey = okey;
-    plan_map_[okey] = akey;
-  } else {
-    akey = pit->second;
-  }
-  op.aggregate_key = akey;
-  auto it = aggregates_.find(akey);
-  if (it == aggregates_.end()) {
-    Aggregate agg;
-    agg.id = op.path();
-    agg.weight = 1.0;
-    agg.rtt = cfg_.default_rtt * cfg_.rtt_damping;
-    agg.c = cfg_.link_bandwidth /
-            static_cast<double>(aggregates_.size() + 1);
-    agg.params = model::compute_params(agg.c, agg.rtt, 1.0, cfg_.pkt_bytes);
-    agg.bucket.configure(agg.params, cfg_.pkt_bytes);
-    agg.members.push_back(okey);
-    restore_offense(agg, akey);
-    it = aggregates_.emplace(akey, std::move(agg)).first;
-  }
-  return it->second;
+  const std::uint64_t akey = op.adopt_plan();
+  const auto it = aggregates_.find(akey);
+  if (it != aggregates_.end()) return it->second;
+  Aggregate& agg =
+      add_aggregate(akey, op.path(), 1.0,
+                    cfg_.link_bandwidth /
+                        static_cast<double>(aggregates_.size() + 1));
+  agg.members.push_back(op.key());
+  return agg;
+}
+
+FlocQueue::Aggregate& FlocQueue::add_aggregate(std::uint64_t akey,
+                                               const PathId& id, double weight,
+                                               BitsPerSec c) {
+  Aggregate agg;
+  agg.id = id;
+  agg.weight = weight;
+  agg.rtt = cfg_.default_rtt * cfg_.rtt_damping;
+  agg.c = c;
+  agg.last.n = 1.0;
+  agg.params = model::compute_params(agg.c, agg.rtt, 1.0, cfg_.pkt_bytes);
+  agg.bucket.configure(agg.params, cfg_.pkt_bytes);
+  restore_offense(agg, akey);
+  return aggregates_.emplace(akey, std::move(agg)).first->second;
 }
 
 void FlocQueue::restore_offense(Aggregate& agg, std::uint64_t akey) const {
@@ -567,7 +567,7 @@ void FlocQueue::restore_offense(Aggregate& agg, std::uint64_t akey) const {
   // a resumed flood re-latches within ONE control interval instead of
   // re-earning the full hysteresis from zero.
   if (!agg.attack && relatch_enabled() && relatch_.test(akey)) {
-    agg.attack_streak = std::max(agg.attack_streak, cfg_.attack_latch - 1);
+    agg.attack_streak = std::max(agg.attack_streak, kAttackLatch - 1);
   }
 }
 
@@ -614,9 +614,8 @@ std::uint64_t FlocQueue::acct_key(const Packet& p) const {
   return p.flow;
 }
 
-TimeSec FlocQueue::measured_flow_mtd(const OriginPathState&, std::uint64_t key,
-                                     FlowRecord& fr, const Aggregate& agg,
-                                     TimeSec now) {
+TimeSec FlocQueue::measured_flow_mtd(std::uint64_t key, FlowRecord& fr,
+                                     const Aggregate& agg, TimeSec now) {
   if (cfg_.use_scalable_filter) {
     // Scalable mode: MTD approximated from the drop filter's over-rate
     // estimate; a flow at u times its fair rate has MTD = ref / u.
@@ -659,7 +658,8 @@ bool FlocQueue::enqueue_impl(Packet&& p, TimeSec now) {
 
   switch (p.type) {
     case PacketType::kSyn: {
-      OriginPathState& op = origin_state(p.path);
+      const std::uint64_t pkey = p.path.key();
+      OriginPathState& op = origin_state(p.path, pkey);
       // Overload tightening, handshake side: per-origin-path SYN budget.
       // The gate sits BEFORE the flow touch so a shed SYN plants no flow
       // record — a handshake storm can neither fill the flow table nor pin
@@ -676,7 +676,7 @@ bool FlocQueue::enqueue_impl(Packet&& p, TimeSec now) {
       fr.syn_time = now;
       fr.rtt_sampled = false;
       if (cfg_.enable_capabilities) {
-        const auto caps = issuer_.issue(p.src, p.dst, p.path);
+        const auto caps = issuer_.issue(p.src, p.dst, pkey);
         p.cap0 = caps.cap0;
         p.cap1 = caps.cap1;
       }
@@ -695,7 +695,7 @@ bool FlocQueue::enqueue_impl(Packet&& p, TimeSec now) {
       break;  // admit transit control traffic
     }
     case PacketType::kData: {
-      if (!admit_data(p, now)) return false;
+      if (!admit_data(p, p.path.key(), now)) return false;
       break;
     }
   }
@@ -705,17 +705,19 @@ bool FlocQueue::enqueue_impl(Packet&& p, TimeSec now) {
   return true;
 }
 
-bool FlocQueue::admit_data(Packet& p, TimeSec now) {
-  // Only consulted by the overload coarsening rule in origin_state (a valid
-  // capability proves a completed handshake on this path); skipped entirely
-  // outside overload so the baseline does no extra verification work.
-  bool cap_backed = false;
-  if (overloaded_ && cfg_.enable_capabilities && p.cap0 != 0) {
+bool FlocQueue::admit_data(Packet& p, std::uint64_t pkey, TimeSec now) {
+  // A carried capability is verified once: up front in overload mode, where
+  // origin_state's coarsening rule needs the verdict (a valid capability
+  // proves a completed handshake), else at the capability check below.
+  const bool carries_cap = cfg_.enable_capabilities && p.cap0 != 0;
+  const auto verify = [&] {
     telemetry::ScopedTimer timer(prof_cap_verify_);
-    cap_backed =
-        issuer_.verify_at(p, now) == CapabilityIssuer::VerifyResult::kOk;
-  }
-  OriginPathState& op = origin_state(p.path, cap_backed);
+    return issuer_.verify_at(p, pkey, now);
+  };
+  CapabilityIssuer::VerifyResult vr = CapabilityIssuer::VerifyResult::kFail;
+  if (overloaded_ && carries_cap) vr = verify();
+  OriginPathState& op =
+      origin_state(p.path, pkey, vr == CapabilityIssuer::VerifyResult::kOk);
   Aggregate& agg = aggregate_for(op);
   const std::uint64_t key = acct_key(p);
   FlowRecord& fr =
@@ -761,16 +763,12 @@ bool FlocQueue::admit_data(Packet& p, TimeSec now) {
   // except inside a key-rotation grace window, where a miss is re-stamped
   // under the new secret instead (dropping would cut off every established
   // legitimate flow whose source still echoes pre-rotation capabilities).
-  if (cfg_.enable_capabilities && p.cap0 != 0) {
-    CapabilityIssuer::VerifyResult vr;
-    {
-      telemetry::ScopedTimer timer(prof_cap_verify_);
-      vr = issuer_.verify_at(p, now);
-    }
+  if (carries_cap) {
+    if (!overloaded_) vr = verify();
     const bool traced = tracer() != nullptr && p.span.active();
     if (vr != CapabilityIssuer::VerifyResult::kOk) {
       if (issuer_.in_grace(now)) {
-        const auto caps = issuer_.issue(p.src, p.dst, p.path);
+        const auto caps = issuer_.issue(p.src, p.dst, pkey);
         p.cap0 = caps.cap0;
         p.cap1 = caps.cap1;
         ++cap_reissues_;
@@ -806,7 +804,8 @@ bool FlocQueue::admit_data(Packet& p, TimeSec now) {
     // Early congested-mode entry for over-subscribed paths:
     // Q > Q_min * min{1, C_Si/lambda_Si} (Section V-A, uncongested mode).
     const double ratio =
-        agg.lambda_bps > 0.0 ? std::min(1.0, agg.c / agg.lambda_bps) : 1.0;
+        agg.last.lambda_bps > 0.0 ? std::min(1.0, agg.c / agg.last.lambda_bps)
+                                  : 1.0;
     congested = static_cast<double>(q_len) >
                 static_cast<double>(q_min_) * ratio;
     if (!congested) {
@@ -830,9 +829,9 @@ bool FlocQueue::admit_data(Packet& p, TimeSec now) {
   // candidates (the policy targets flows with over-rate alpha > 1); a
   // misidentified flow that reduces its rate immediately regains service.
   if (cfg_.enable_preferential_drop && agg.attack) {
-    const double fair_bps = agg.c / std::max(agg.n, 1.0);
+    const double fair_bps = agg.c / std::max(agg.last.n, 1.0);
     if (fr.rate_bps > fair_bps) {
-      const TimeSec mtd = measured_flow_mtd(op, key, fr, agg, now);
+      const TimeSec mtd = measured_flow_mtd(key, fr, agg, now);
       const double p_serviced =
           std::min(1.0, mtd / std::max(agg.params.ref_mtd, 1e-9));
       if (!rng_.chance(p_serviced)) {
@@ -867,7 +866,7 @@ bool FlocQueue::admit_data(Packet& p, TimeSec now) {
     // flow f") realized probabilistically so an aggressive flow cannot
     // monopolize the bucket against conformant flows, while conformant
     // (rate <= fair) flows pass unfiltered.
-    const double fair_bps = agg.c / std::max(agg.n, 1.0);
+    const double fair_bps = agg.c / std::max(agg.last.n, 1.0);
     const bool fair_ok =
         fr.rate_bps <= fair_bps ||
         rng_.chance(fair_bps / std::max(fr.rate_bps, 1e-9));
@@ -897,8 +896,8 @@ bool FlocQueue::admit_data(Packet& p, TimeSec now) {
     // whose MTD identifies them as unresponsive (attack) flows: conformant
     // flows sharing the path back off on loss and never accumulate strikes.
     if (cfg_.enable_blacklist && agg.attack &&
-        fr.rate_bps > agg.c / std::max(agg.n, 1.0) &&
-        is_attack_mtd(measured_flow_mtd(op, key, fr, agg, now),
+        fr.rate_bps > agg.c / std::max(agg.last.n, 1.0) &&
+        is_attack_mtd(measured_flow_mtd(key, fr, agg, now),
                       agg.params.ref_mtd, kAttackMtdFactor)) {
       strike(p.src, now);
     }
@@ -935,7 +934,6 @@ std::optional<Packet> FlocQueue::dequeue(TimeSec now) {
 void FlocQueue::reboot(TimeSec now, bool preserve_queue) {
   origins_.clear();
   aggregates_.clear();
-  plan_map_.clear();
   if (filter_) filter_ = std::make_unique<ScalableDropFilter>(cfg_.filter);
   if (!preserve_queue) {
     flushed_ += q_.size();
@@ -1005,7 +1003,6 @@ void FlocQueue::control(TimeSec now) {
   for (auto it = origins_.begin(); it != origins_.end();) {
     it->second.expire_flows(now, cfg_.flow_timeout);
     if (it->second.flow_count() == 0) {
-      plan_map_.erase(it->first);
       it = origins_.erase(it);
     } else {
       ++it;
@@ -1013,43 +1010,36 @@ void FlocQueue::control(TimeSec now) {
   }
 
   // --- Rebuild aggregates from the current plan --------------------------
+  // Every origin adopts its planned aggregate. A surviving aggregate's map
+  // node moves into the new map, keeping token state and verdict, and starts
+  // a new interval; aggregates no origin maps to are dropped. Keys enter in
+  // first-use order, which fixes the iteration order of every loop below.
   std::unordered_map<std::uint64_t, Aggregate> fresh;
   for (auto& [okey, op] : origins_) {
-    auto pit = plan_map_.find(okey);
-    const std::uint64_t akey = (pit != plan_map_.end()) ? pit->second : okey;
-    plan_map_[okey] = akey;
-    op.aggregate_key = akey;
-
+    const std::uint64_t akey = op.adopt_plan();
     auto fit = fresh.find(akey);
     if (fit == fresh.end()) {
-      Aggregate agg;
-      auto old = aggregates_.find(akey);
-      if (old != aggregates_.end()) {
-        agg.id = old->second.id;
-        agg.weight = old->second.weight;
-        agg.bucket = old->second.bucket;  // keep token state across ticks
-        agg.params = old->second.params;
-        agg.attack = old->second.attack;
-        agg.attack_streak = old->second.attack_streak;
-        agg.calm_streak = old->second.calm_streak;
-        agg.n_estimated = old->second.n_estimated;
-      } else {
+      auto node = aggregates_.extract(akey);
+      if (node.empty()) {
+        Aggregate agg;
         agg.id = op.path();
-        agg.weight = 1.0;
         restore_offense(agg, akey);  // re-latch relearned offender paths
+        fit = fresh.emplace(akey, std::move(agg)).first;
+      } else {
+        node.mapped().last = {};
+        node.mapped().members.clear();
+        fit = fresh.insert(std::move(node)).position;
       }
-      agg.n = 0.0;
-      fit = fresh.emplace(akey, std::move(agg)).first;
     }
     Aggregate& agg = fit->second;
     agg.members.push_back(okey);
-    agg.n += static_cast<double>(op.flow_count());
-    agg.lambda_bps += op.bytes_arrived * kBitsPerByte / interval;
-    agg.drops_interval += op.drops;
+    agg.last.n += static_cast<double>(op.flow_count());
+    agg.last.lambda_bps += op.bytes_arrived * kBitsPerByte / interval;
+    agg.last.drops += op.drops;
     // Aggregate MTD signal: realized drops of the path plus token
     // shortfalls that the neutral/uncongested policies admitted anyway.
-    agg.token_misses_interval += op.token_misses + op.drops;
-    agg.arrivals_interval += op.pkts_arrived;
+    agg.last.token_misses += op.token_misses + op.drops;
+    agg.last.arrivals += op.pkts_arrived;
   }
   aggregates_ = std::move(fresh);
 
@@ -1075,8 +1065,7 @@ void FlocQueue::control(TimeSec now) {
       // Section V-B.1: n from the aggregate drop rate (inverting the Reno
       // drop model), smoothed for stability. Works only while the path has
       // drops; otherwise the previous estimate (or exact count) persists.
-      const double drop_rate =
-          static_cast<double>(agg.drops_interval) / interval;
+      const double drop_rate = static_cast<double>(agg.last.drops) / interval;
       if (drop_rate > 0.0) {
         const double n_inst = model::estimate_flow_count(
             agg.c, agg.rtt, drop_rate, cfg_.pkt_bytes);
@@ -1084,9 +1073,10 @@ void FlocQueue::control(TimeSec now) {
                               ? 0.7 * agg.n_estimated + 0.3 * n_inst
                               : n_inst;
       }
-      if (agg.n_estimated > 0.0) agg.n = std::max(1.0, agg.n_estimated);
+      if (agg.n_estimated > 0.0) agg.last.n = std::max(1.0, agg.n_estimated);
     }
-    agg.params = model::compute_params(agg.c, agg.rtt, std::max(agg.n, 1.0),
+    agg.params = model::compute_params(agg.c, agg.rtt,
+                                       std::max(agg.last.n, 1.0),
                                        cfg_.pkt_bytes);
     // Detection thresholds are taken from the UN-jittered parameters:
     // jitter exists to move the attacker-visible refill boundaries, not to
@@ -1146,22 +1136,22 @@ void FlocQueue::control(TimeSec now) {
     // drops; counting shortfalls keeps the signal causal even while the
     // neutral congested-mode policy admits some token-less packets.
     const TimeSec agg_mtd =
-        agg.token_misses_interval > 0
-            ? interval / static_cast<double>(agg.token_misses_interval)
+        agg.last.token_misses > 0
+            ? interval / static_cast<double>(agg.last.token_misses)
             : std::numeric_limits<TimeSec>::infinity();
     const double c_pkts = agg.c / (kBitsPerByte * cfg_.pkt_bytes);
     const double lambda_pkts =
-        agg.lambda_bps / (kBitsPerByte * cfg_.pkt_bytes);
+        agg.last.lambda_bps / (kBitsPerByte * cfg_.pkt_bytes);
     const bool condition = agg_mtd < detect_period &&
                            lambda_pkts > c_pkts + 1.0 / detect_period;
     // Hysteresis: a flood holds the condition every interval; a legitimate
     // path crossing it transiently (TCP probing) does not latch. With
     // backoff_release, a path that has latched before must stay calm
-    // `attack_release * multiplier` intervals — each re-latch doubles the
+    // `kAttackRelease * multiplier` intervals — each re-latch doubles the
     // multiplier, so duty-cycled floods face geometrically growing quiet
     // requirements instead of a fixed, learnable one.
     const bool was_attack = agg.attack;
-    int release_required = cfg_.attack_release;
+    int release_required = kAttackRelease;
     if (cfg_.backoff_release) {
       const auto poit = offense_.find(akey);
       if (poit != offense_.end()) release_required *= poit->second.multiplier;
@@ -1169,7 +1159,7 @@ void FlocQueue::control(TimeSec now) {
     if (condition) {
       agg.attack_streak++;
       agg.calm_streak = 0;
-      if (agg.attack_streak >= cfg_.attack_latch) agg.attack = true;
+      if (agg.attack_streak >= kAttackLatch) agg.attack = true;
     } else {
       agg.calm_streak++;
       agg.attack_streak = 0;
@@ -1217,7 +1207,8 @@ void FlocQueue::control(TimeSec now) {
       }
     }
 
-    q_max_extra += std::sqrt(std::max(agg.n, 1.0)) * agg.params.peak_window;
+    q_max_extra +=
+        std::sqrt(std::max(agg.last.n, 1.0)) * agg.params.peak_window;
   }
   // Q_max = Q_min + sum sqrt(n_i)*W_i, floored at 10% of the buffer above
   // Q_min so a freshly started (or idle) queue is never stuck with
@@ -1231,23 +1222,17 @@ void FlocQueue::control(TimeSec now) {
   // --- Conformance update per origin path (Eq. IV.6) ----------------------
   for (auto& [okey, op] : origins_) {
     const Aggregate& agg = aggregates_.at(op.aggregate_key);
-    const double fair_bps = agg.c / std::max(agg.n, 1.0);
+    const double fair_bps = agg.c / std::max(agg.last.n, 1.0);
     std::size_t n_attack = 0;
     for (auto& [fkey, fr] : op.flows()) {
       // Refresh the smoothed per-flow arrival-rate estimate.
       const double inst = fr.bytes_arrived * kBitsPerByte / interval;
       fr.rate_bps = fr.rate_bps > 0.0 ? 0.5 * fr.rate_bps + 0.5 * inst : inst;
       if (fr.rate_bps <= fair_bps) continue;  // within fair share: legit
-      TimeSec mtd;
-      if (cfg_.use_scalable_filter) {
-        const double u = filter_->over_rate(fkey, now, agg.params.ref_mtd);
-        mtd = agg.params.ref_mtd / std::max(1.0, u);
-      } else {
-        fr.mtd.set_window(kMtdWindowFactor * agg.params.ref_mtd);
-        mtd = fr.mtd.mtd(now);
-      }
-      if (is_attack_mtd(mtd, agg.params.ref_mtd, kAttackMtdFactor))
+      if (is_attack_mtd(measured_flow_mtd(fkey, fr, agg, now),
+                        agg.params.ref_mtd, kAttackMtdFactor)) {
         ++n_attack;
+      }
     }
     op.update_conformance(legitimate_fraction(n_attack, op.flow_count()));
   }
@@ -1319,9 +1304,9 @@ void FlocQueue::control(TimeSec now) {
       fr.drops = 0;
     }
   }
-  // Aggregate counters are recomputed from origin sums at the next rebuild;
-  // lambda_bps intentionally persists as "last measured offered load" for
-  // the early congested-mode test.
+  // Aggregate sums (`last`) are recomputed from origin sums at the next
+  // rebuild; until then last.lambda_bps is the "last measured offered load"
+  // of the early congested-mode test.
 
   // --- Bounded-state housekeeping ------------------------------------------
   if (cfg_.enable_overload_mode) update_overload(now);
@@ -1391,11 +1376,12 @@ void FlocQueue::run_aggregation(TimeSec) {
   Aggregator aggregator(acfg);
   const AggregationPlan plan = aggregator.plan(snaps);
 
-  plan_map_.clear();
+  // The plan names every origin (each input path is mapped). Origins adopt
+  // their planned aggregate on their next data packet or control tick.
   std::unordered_map<std::uint64_t, const AggregationPlan::Entry*> by_agg;
   for (const auto& [okey, entry] : plan.mapping) {
     const std::uint64_t akey = entry.group_key();
-    plan_map_[okey] = akey;
+    origins_.at(okey).planned_key = akey;
     by_agg[akey] = &entry;
   }
   // Seed / update aggregate identities and weights so the next rebuild (and
@@ -1403,16 +1389,10 @@ void FlocQueue::run_aggregation(TimeSec) {
   for (const auto& [akey, entry] : by_agg) {
     auto it = aggregates_.find(akey);
     if (it == aggregates_.end()) {
-      Aggregate agg;
-      agg.id = entry->aggregate;
-      agg.weight = entry->share_weight;
-      agg.rtt = cfg_.default_rtt * cfg_.rtt_damping;
-      agg.c = cfg_.link_bandwidth /
-              static_cast<double>(std::max<std::size_t>(1, aggregates_.size()));
-      agg.params = model::compute_params(agg.c, agg.rtt, 1.0, cfg_.pkt_bytes);
-      agg.bucket.configure(agg.params, cfg_.pkt_bytes);
-      restore_offense(agg, akey);
-      aggregates_.emplace(akey, std::move(agg));
+      add_aggregate(akey, entry->aggregate, entry->share_weight,
+                    cfg_.link_bandwidth /
+                        static_cast<double>(
+                            std::max<std::size_t>(1, aggregates_.size())));
     } else {
       it->second.weight = entry->share_weight;
     }
@@ -1527,7 +1507,7 @@ double FlocQueue::flow_mtd(const PathId& origin, std::uint64_t key,
   if (ait == aggregates_.end()) return std::numeric_limits<double>::infinity();
   FlowRecord* fr = oit->second.find_flow(key);
   if (fr == nullptr) return std::numeric_limits<double>::infinity();
-  return measured_flow_mtd(oit->second, key, *fr, ait->second, now);
+  return measured_flow_mtd(key, *fr, ait->second, now);
 }
 
 std::size_t FlocQueue::path_flow_count(const PathId& origin) const {
@@ -1545,7 +1525,7 @@ int FlocQueue::backoff_multiplier(const PathId& origin) const {
 }
 
 int FlocQueue::release_required(const PathId& origin) const {
-  return cfg_.attack_release * backoff_multiplier(origin);
+  return kAttackRelease * backoff_multiplier(origin);
 }
 
 bool FlocQueue::is_blacklisted(HostAddr src, TimeSec now) const {

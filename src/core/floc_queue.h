@@ -55,17 +55,12 @@ struct FlocConfig {
   // Bandwidth guarantees / aggregation.
   int s_max = 1 << 30;         // |S|_max
   double e_th = 0.5;           // attack-tree conformance threshold
-  double beta = 0.2;           // conformance smoothing (Eq. IV.6)
   double legit_max_increase = 0.5;
   bool enable_aggregation = true;
 
   // Attack identification: a flow is an attack flow if its MTD, measured
   // over a window of twice the reference MTD, is below half the reference.
   bool enable_preferential_drop = true;
-  // Hysteresis on the attack-path flag: latch after `attack_latch`
-  // consecutive positive intervals, release after `attack_release` calm ones.
-  int attack_latch = 4;
-  int attack_release = 4;
   // Ablation knob: always use the base bucket N instead of the enlarged N'
   // (Eq. IV.3) in congested mode — quantifies what the increase buys.
   bool force_base_bucket = false;
@@ -102,7 +97,7 @@ struct FlocConfig {
   // doubles its calm-streak release requirement (multiplier capped at
   // `backoff_cap`); the multiplier halves for every `backoff_decay` seconds
   // the path stays unlatched. Defeats duty-cycled attackers that time their
-  // quiet phases to the fixed attack_release — they must relapse fast to
+  // quiet phases to the fixed kAttackRelease — they must relapse fast to
   // gain anything — while legitimate paths whose sporadic marginal latches
   // are minutes or seconds apart never escalate. The load test separates
   // the two when both relapse on the *attacker's* cycle: an attack blast
@@ -157,7 +152,7 @@ struct FlocConfig {
   // (control) interval of resuming instead of re-earning a fresh hysteresis
   // run-up. The sketch — like the offense/offender verdict tables — survives
   // reboot().
-  StateBudgetConfig origin_budget;    // origins_ (aggregates_/plan_map_ are
+  StateBudgetConfig origin_budget;    // origins_ (aggregates_ are
                                       // derivative: bounding origins bounds
                                       // them, enforced by audit())
   StateBudgetConfig flow_budget;      // per-origin accounting-flow records
@@ -199,6 +194,11 @@ class FlocQueue : public QueueDisc {
  public:
   explicit FlocQueue(FlocConfig cfg);
 
+  // Hysteresis on the attack-path flag: latch after kAttackLatch consecutive
+  // positive control intervals, release after kAttackRelease calm ones.
+  static constexpr int kAttackLatch = 4;
+  static constexpr int kAttackRelease = 4;
+
   bool enqueue(Packet&& p, TimeSec now) override;
   std::optional<Packet> dequeue(TimeSec now) override;
   bool empty() const override { return q_.empty(); }
@@ -226,7 +226,7 @@ class FlocQueue : public QueueDisc {
   std::uint64_t capability_violations() const { return cap_violations_; }
 
   // --- Hardening introspection (tests, benches) --------------------------
-  // Calm intervals currently required to release `origin` (attack_release
+  // Calm intervals currently required to release `origin` (kAttackRelease
   // times the path's backoff multiplier).
   int release_required(const PathId& origin) const;
   int backoff_multiplier(const PathId& origin) const;
@@ -326,17 +326,18 @@ class FlocQueue : public QueueDisc {
     PathTokenBucket bucket;
     model::TokenBucketParams params;
     // Cached per-control-interval values:
-    double n = 1.0;                 // accounting flows
     TimeSec rtt = 0.1;              // damped estimate
     BitsPerSec c = 0.0;             // guaranteed bandwidth
-    double lambda_bps = 0.0;        // offered load last interval
-    std::uint64_t drops_interval = 0;
-    std::uint64_t token_misses_interval = 0;
-    std::uint64_t arrivals_interval = 0;
     int attack_streak = 0;          // consecutive intervals condition held
     int calm_streak = 0;            // consecutive intervals condition clear
     bool dip_strict = false;        // this tick is a strict-audit (dip) tick
     double n_estimated = 0.0;       // smoothed drop-rate-based flow estimate
+    // Member-origin sums over the last interval, reset by each rebuild.
+    struct Interval {
+      double n = 0.0;               // accounting flows
+      double lambda_bps = 0.0;      // offered load
+      std::uint64_t drops = 0, token_misses = 0, arrivals = 0;
+    } last;
     std::vector<std::uint64_t> members;  // origin-path keys
   };
 
@@ -357,8 +358,12 @@ class FlocQueue : public QueueDisc {
     std::uint64_t touch_stamp = 0;  // monotone LRU stamp (state budgets)
   };
 
-  OriginPathState& origin_state(const PathId& path, bool cap_backed = false);
+  OriginPathState& origin_state(const PathId& path, std::uint64_t key,
+                                bool cap_backed = false);
   Aggregate& aggregate_for(OriginPathState& op);
+  // A new aggregate at allocation `c`; the next control tick sizes it.
+  Aggregate& add_aggregate(std::uint64_t akey, const PathId& id, double weight,
+                           BitsPerSec c);
   std::uint64_t acct_key(const Packet& p) const;
   void restore_offense(Aggregate& agg, std::uint64_t akey) const;
   void strike(HostAddr src, TimeSec now);
@@ -372,8 +377,8 @@ class FlocQueue : public QueueDisc {
   static std::uint64_t offender_sketch_key(HostAddr src) {
     return 0x0FFE6DE20FFE6DE2ULL ^ static_cast<std::uint64_t>(src);
   }
-  // Side effects of evicting one origin: plan/aggregate cleanup, sketch
-  // marking of guilty (latched / latching) paths.
+  // Side effects of evicting one origin: aggregate cleanup, sketch marking
+  // of guilty (latched / latching) paths.
   void evict_origin(std::uint64_t okey, const OriginPathState& op);
   void enforce_origin_budget();
   void enforce_offense_budget();
@@ -382,7 +387,7 @@ class FlocQueue : public QueueDisc {
   void register_state_gauges(telemetry::MetricRegistry& reg) const;
 
   bool enqueue_impl(Packet&& p, TimeSec now);
-  bool admit_data(Packet& p, TimeSec now);
+  bool admit_data(Packet& p, std::uint64_t pkey, TimeSec now);
   // Journal slow path; callers gate on `journal() != nullptr`.
   void journal_mode(TimeSec now);
   // Span-annotation slow path: record the admission verdict (mode, verdict,
@@ -394,8 +399,8 @@ class FlocQueue : public QueueDisc {
                Aggregate& agg, FlowRecord* fr, TimeSec now);
   void control(TimeSec now);
   void run_aggregation(TimeSec now);
-  TimeSec measured_flow_mtd(const OriginPathState& op, std::uint64_t key,
-                            FlowRecord& fr, const Aggregate& agg, TimeSec now);
+  TimeSec measured_flow_mtd(std::uint64_t key, FlowRecord& fr,
+                            const Aggregate& agg, TimeSec now);
 
   FlocConfig cfg_;
   CapabilityIssuer issuer_;
@@ -406,12 +411,11 @@ class FlocQueue : public QueueDisc {
   std::size_t q_min_;
   std::size_t q_max_;
 
-  // Origin-path states keyed by full PathId::key().
+  // Origin-path states keyed by full PathId::key(); each holds its adopted
+  // and planned aggregate keys.
   std::unordered_map<std::uint64_t, OriginPathState> origins_;
   // Aggregates keyed by aggregate PathId::key().
   std::unordered_map<std::uint64_t, Aggregate> aggregates_;
-  // Current plan mapping origin key -> aggregate key.
-  std::unordered_map<std::uint64_t, std::uint64_t> plan_map_;
   // Hardening state. Both tables survive reboot() deliberately (see the
   // FlocConfig comments); they stay empty while the knobs are off.
   std::unordered_map<std::uint64_t, PathOffense> offense_;

@@ -37,13 +37,14 @@ struct FlowRecord {
 // State of one *origin* (full, unaggregated) path identifier.
 class OriginPathState {
  public:
-  explicit OriginPathState(PathId path, double conformance_beta)
-      : path_(std::move(path)), conformance_(conformance_beta, 1.0),
+  OriginPathState(PathId path, std::uint64_t key, double conformance_beta)
+      : path_(std::move(path)), key_(key), conformance_(conformance_beta, 1.0),
         rtt_(0.2) {
     conformance_.set(1.0);  // paths start fully conformant (Eq. IV.6)
   }
 
   const PathId& path() const { return path_; }
+  std::uint64_t key() const { return key_; }
 
   // Find-or-create the accounting-flow record for `acct_key`. With a
   // non-null enabled `budget`, creating a record in a full table first
@@ -108,8 +109,16 @@ class OriginPathState {
     return true;
   }
 
-  // Key of the aggregate this path currently maps to.
+  // Keys of the aggregate this path maps to and of the one the last
+  // aggregation run planned for it (0: none yet). The path's next data
+  // packet or control tick adopts the plan; a path no plan names yet is its
+  // own aggregate.
   std::uint64_t aggregate_key = 0;
+  std::uint64_t planned_key = 0;
+  std::uint64_t adopt_plan() {
+    if (planned_key == 0) planned_key = key_;
+    return aggregate_key = planned_key;
+  }
 
   // Monotone touch stamp maintained by the owner (FlocQueue) for origin-table
   // LRU ranking; 0 until first stamped.
@@ -117,6 +126,7 @@ class OriginPathState {
 
  private:
   PathId path_;
+  std::uint64_t key_;
   std::unordered_map<std::uint64_t, FlowRecord> flows_;
   Ewma conformance_;
   Ewma rtt_;

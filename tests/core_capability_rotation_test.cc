@@ -24,10 +24,11 @@ Packet capped_data(std::uint64_t cap0, std::uint64_t cap1) {
 
 TEST(CapabilityRotation, IssuerGraceWindowSemantics) {
   CapabilityIssuer issuer(0xAAAAULL, /*n_max=*/0);
-  const PathId path = PathId::of({1, 2});
-  const auto old_caps = issuer.issue(1, 99, path);
+  const std::uint64_t key = PathId::of({1, 2}).key();  // capped_data's path
+  const auto old_caps = issuer.issue(1, 99, key);
   Packet old_pkt = capped_data(old_caps.cap0, old_caps.cap1);
-  ASSERT_EQ(issuer.verify_at(old_pkt, 0.0), CapabilityIssuer::VerifyResult::kOk);
+  ASSERT_EQ(issuer.verify_at(old_pkt, key, 0.0),
+            CapabilityIssuer::VerifyResult::kOk);
   EXPECT_FALSE(issuer.in_grace(0.0));
 
   issuer.rotate(0xBBBBULL, /*now=*/10.0, /*grace_window=*/0.25);
@@ -35,29 +36,29 @@ TEST(CapabilityRotation, IssuerGraceWindowSemantics) {
   EXPECT_TRUE(issuer.in_grace(10.1));
 
   // Old words: previous-keys verdict inside the window, failure past it.
-  EXPECT_EQ(issuer.verify_at(old_pkt, 10.1),
+  EXPECT_EQ(issuer.verify_at(old_pkt, key, 10.1),
             CapabilityIssuer::VerifyResult::kOkPrevious);
-  EXPECT_FALSE(issuer.verify(old_pkt));  // current-keys-only check fails now
+  EXPECT_FALSE(issuer.verify(old_pkt, key));  // current keys only: fails now
   EXPECT_FALSE(issuer.in_grace(10.25));
-  EXPECT_EQ(issuer.verify_at(old_pkt, 10.25),
+  EXPECT_EQ(issuer.verify_at(old_pkt, key, 10.25),
             CapabilityIssuer::VerifyResult::kFail);
 
   // Fresh issues are under the new secret and unaffected by the window.
-  const auto new_caps = issuer.issue(1, 99, path);
+  const auto new_caps = issuer.issue(1, 99, key);
   EXPECT_NE(new_caps.cap0, old_caps.cap0);
   Packet new_pkt = capped_data(new_caps.cap0, new_caps.cap1);
-  EXPECT_EQ(issuer.verify_at(new_pkt, 10.1),
+  EXPECT_EQ(issuer.verify_at(new_pkt, key, 10.1),
             CapabilityIssuer::VerifyResult::kOk);
-  EXPECT_EQ(issuer.verify_at(new_pkt, 99.0),
+  EXPECT_EQ(issuer.verify_at(new_pkt, key, 99.0),
             CapabilityIssuer::VerifyResult::kOk);
 
   // A second rotation invalidates the first-generation words immediately
   // (only one previous key set is kept).
   issuer.rotate(0xCCCCULL, 20.0, 0.25);
   EXPECT_EQ(issuer.rotations(), 2u);
-  EXPECT_EQ(issuer.verify_at(old_pkt, 20.1),
+  EXPECT_EQ(issuer.verify_at(old_pkt, key, 20.1),
             CapabilityIssuer::VerifyResult::kFail);
-  EXPECT_EQ(issuer.verify_at(new_pkt, 20.1),
+  EXPECT_EQ(issuer.verify_at(new_pkt, key, 20.1),
             CapabilityIssuer::VerifyResult::kOkPrevious);
 }
 
@@ -103,7 +104,7 @@ TEST(CapabilityRotation, QueueReissuesDuringGraceThenEnforces) {
   auto restamped = q.dequeue(2.05);
   ASSERT_TRUE(restamped.has_value());
   EXPECT_NE(restamped->cap0, caps.cap0);
-  EXPECT_TRUE(q.issuer().verify(*restamped));
+  EXPECT_TRUE(q.issuer().verify(*restamped, restamped->path.key()));
 
   // A flow that adopted the re-stamped words stays verifiable past the
   // window; one still echoing pre-rotation words is cut off.

@@ -19,46 +19,46 @@ Packet data_packet(HostAddr src, HostAddr dst, PathId path) {
 TEST(Capability, IssueVerifyRoundTrip) {
   CapabilityIssuer issuer(0x5EC, 0);
   Packet p = data_packet(1, 2, PathId::of({3, 4}));
-  const auto caps = issuer.issue(p.src, p.dst, p.path);
+  const auto caps = issuer.issue(p.src, p.dst, p.path.key());
   p.cap0 = caps.cap0;
   p.cap1 = caps.cap1;
-  EXPECT_TRUE(issuer.verify(p));
+  EXPECT_TRUE(issuer.verify(p, p.path.key()));
 }
 
 TEST(Capability, ForgedCapabilityRejected) {
   CapabilityIssuer issuer(0x5EC, 0);
   Packet p = data_packet(1, 2, PathId::of({3, 4}));
-  const auto caps = issuer.issue(p.src, p.dst, p.path);
+  const auto caps = issuer.issue(p.src, p.dst, p.path.key());
   p.cap0 = caps.cap0 ^ 1;
   p.cap1 = caps.cap1;
-  EXPECT_FALSE(issuer.verify(p));
+  EXPECT_FALSE(issuer.verify(p, p.path.key()));
 }
 
 TEST(Capability, BoundToSourceDestinationAndPath) {
   CapabilityIssuer issuer(0x5EC, 0);
   const PathId path = PathId::of({3, 4});
-  const auto caps = issuer.issue(1, 2, path);
+  const auto caps = issuer.issue(1, 2, path.key());
 
   Packet other_src = data_packet(9, 2, path);
   other_src.cap0 = caps.cap0;
   other_src.cap1 = caps.cap1;
-  EXPECT_FALSE(issuer.verify(other_src));
+  EXPECT_FALSE(issuer.verify(other_src, other_src.path.key()));
 
   Packet other_dst = data_packet(1, 9, path);
   other_dst.cap0 = caps.cap0;
   other_dst.cap1 = caps.cap1;
-  EXPECT_FALSE(issuer.verify(other_dst));
+  EXPECT_FALSE(issuer.verify(other_dst, other_dst.path.key()));
 
   Packet other_path = data_packet(1, 2, PathId::of({3, 5}));
   other_path.cap0 = caps.cap0;
   other_path.cap1 = caps.cap1;
-  EXPECT_FALSE(issuer.verify(other_path));
+  EXPECT_FALSE(issuer.verify(other_path, other_path.path.key()));
 }
 
 TEST(Capability, DifferentSecretsDiffer) {
   CapabilityIssuer a(111, 0), b(222, 0);
-  const auto ca = a.issue(1, 2, PathId::of({3}));
-  const auto cb = b.issue(1, 2, PathId::of({3}));
+  const auto ca = a.issue(1, 2, PathId::of({3}).key());
+  const auto cb = b.issue(1, 2, PathId::of({3}).key());
   EXPECT_NE(ca.cap0, cb.cap0);
 }
 
@@ -110,7 +110,7 @@ TEST(Capability, ZeroReservedAsNoCapability) {
   // Issued capabilities never collide with the "no capability" marker 0.
   CapabilityIssuer issuer(0x5EC, 2);
   for (HostAddr s = 1; s < 200; ++s) {
-    const auto caps = issuer.issue(s, s + 1, PathId::of({s % 7 + 1}));
+    const auto caps = issuer.issue(s, s + 1, PathId::of({s % 7 + 1}).key());
     EXPECT_NE(caps.cap0, 0u);
     EXPECT_NE(caps.cap1, 0u);
   }

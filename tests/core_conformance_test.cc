@@ -7,6 +7,10 @@
 namespace floc {
 namespace {
 
+OriginPathState state_of(const PathId& path, double beta = 0.2) {
+  return OriginPathState(path, path.key(), beta);
+}
+
 TEST(Conformance, AttackMtdClassifier) {
   EXPECT_TRUE(is_attack_mtd(0.1, 1.0, 0.5));
   EXPECT_FALSE(is_attack_mtd(0.6, 1.0, 0.5));
@@ -22,7 +26,7 @@ TEST(Conformance, LegitimateFraction) {
 }
 
 TEST(OriginPathState, ConformanceEwmaEqIV6) {
-  OriginPathState st(PathId::of({1, 2}), /*beta=*/0.2);
+  OriginPathState st = state_of(PathId::of({1, 2}), /*beta=*/0.2);
   EXPECT_DOUBLE_EQ(st.conformance(), 1.0);  // starts fully conformant
   st.update_conformance(0.0);
   EXPECT_DOUBLE_EQ(st.conformance(), 0.2 * 0.0 + 0.8 * 1.0);
@@ -31,7 +35,7 @@ TEST(OriginPathState, ConformanceEwmaEqIV6) {
 }
 
 TEST(OriginPathState, FlowLifecycle) {
-  OriginPathState st(PathId::of({1}), 0.2);
+  OriginPathState st = state_of(PathId::of({1}));
   st.touch_flow(100, 1.0);
   st.touch_flow(200, 1.5);
   st.touch_flow(100, 2.0);  // refresh
@@ -47,7 +51,7 @@ TEST(OriginPathState, FlowLifecycle) {
 }
 
 TEST(OriginPathState, RttAveraging) {
-  OriginPathState st(PathId::of({1}), 0.2);
+  OriginPathState st = state_of(PathId::of({1}));
   EXPECT_FALSE(st.has_rtt());
   EXPECT_DOUBLE_EQ(st.mean_rtt(0.123), 0.123);  // fallback
   st.add_rtt_sample(0.1);
@@ -59,7 +63,7 @@ TEST(OriginPathState, RttAveraging) {
 }
 
 TEST(OriginPathState, FirstSeenPreserved) {
-  OriginPathState st(PathId::of({1}), 0.2);
+  OriginPathState st = state_of(PathId::of({1}));
   auto& fr = st.touch_flow(1, 5.0);
   EXPECT_DOUBLE_EQ(fr.first_seen, 5.0);
   auto& fr2 = st.touch_flow(1, 9.0);

@@ -95,7 +95,7 @@ TEST(HardeningBackoff, EscalatesOnlyOnFastRelapse) {
   drive_flood(q, 0.0, 2.0, bad, good);
   ASSERT_TRUE(q.is_attack_path(bad));
   EXPECT_EQ(q.backoff_multiplier(bad), 1);  // first latch never escalates
-  EXPECT_EQ(q.release_required(bad), cfg.attack_release);
+  EXPECT_EQ(q.release_required(bad), FlocQueue::kAttackRelease);
 
   // Calm long enough to release, then relapse immediately: escalation.
   drive_flood(q, 2.0, 2.5, bad, good, /*flood_on=*/false);
@@ -103,7 +103,7 @@ TEST(HardeningBackoff, EscalatesOnlyOnFastRelapse) {
   drive_flood(q, 2.5, 4.0, bad, good);
   ASSERT_TRUE(q.is_attack_path(bad));
   EXPECT_EQ(q.backoff_multiplier(bad), 2);
-  EXPECT_EQ(q.release_required(bad), 2 * cfg.attack_release);
+  EXPECT_EQ(q.release_required(bad), 2 * FlocQueue::kAttackRelease);
 
   // Second fast relapse: doubles again.
   drive_flood(q, 4.0, 4.6, bad, good, /*flood_on=*/false);
@@ -114,7 +114,7 @@ TEST(HardeningBackoff, EscalatesOnlyOnFastRelapse) {
 
   // A path with no offense record is untouched.
   EXPECT_EQ(q.backoff_multiplier(good), 1);
-  EXPECT_EQ(q.release_required(good), cfg.attack_release);
+  EXPECT_EQ(q.release_required(good), FlocQueue::kAttackRelease);
 }
 
 // Scripted duty-cycle scenario: the attacker blasts for 1s and goes quiet
@@ -241,7 +241,7 @@ TEST(HardeningReboot, OffenseAndBlacklistSurviveFaultPlanReboot) {
   EXPECT_TRUE(q.is_blacklisted(2, 6.0));
 
   // One relearning interval later the path is latched again with its
-  // multiplier intact — far sooner than the attack_latch hysteresis could
+  // multiplier intact — far sooner than the kAttackLatch hysteresis could
   // possibly re-derive it.
   drive_flood(q, 6.0, 6.2, bad, good);
   EXPECT_TRUE(q.is_attack_path(bad));

@@ -302,7 +302,7 @@ TEST(FlocOverload, EvictedAttackPathRelatchesWithinOneInterval) {
 
   // Resume the flood; measure time-to-relatch. One partial interval may
   // elapse before the first control boundary, then ONE full measured
-  // interval must be enough (streak seeded at attack_latch - 1).
+  // interval must be enough (streak seeded at kAttackLatch - 1).
   const double resume = t + 0.2;
   next_service = resume;
   double latched_at = -1.0;
@@ -349,9 +349,9 @@ TEST(FlocOverload, FreshLatchNeedsFullHysteresis) {
     }
   }
   ASSERT_GT(latched_at, 0.0);
-  // attack_latch consecutive intervals of condition, minus the partial
+  // kAttackLatch consecutive intervals of condition, minus the partial
   // first boundary: strictly more than (latch - 1) intervals.
-  EXPECT_GT(latched_at, (cfg.attack_latch - 1) * cfg.control_interval);
+  EXPECT_GT(latched_at, (FlocQueue::kAttackLatch - 1) * cfg.control_interval);
 }
 
 // An offender whose ACTIVE sentence is evicted re-enters one strike short

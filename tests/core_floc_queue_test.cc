@@ -85,7 +85,7 @@ TEST(FlocQueue, SynReceivesCapability) {
   ASSERT_TRUE(out.has_value());
   EXPECT_NE(out->cap0, 0u);
   EXPECT_NE(out->cap1, 0u);
-  EXPECT_TRUE(q.issuer().verify(*out));
+  EXPECT_TRUE(q.issuer().verify(*out, out->path.key()));
 }
 
 TEST(FlocQueue, ForgedCapabilityDropped) {

@@ -160,7 +160,7 @@ TEST(FlocReboot, AttackRelatchesWithinBoundedIntervals) {
       static_cast<int>((relatch_time - 5.0) / cfg.control_interval + 0.5);
   // Relearning takes the recovery grace plus the latch hysteresis, plus a
   // little slack for parameter re-estimation from cold state.
-  EXPECT_LE(intervals, cfg.recovery_intervals + cfg.attack_latch + 6);
+  EXPECT_LE(intervals, cfg.recovery_intervals + FlocQueue::kAttackLatch + 6);
   // The conformant path is not collateral damage of the relearn.
   EXPECT_FALSE(q.is_attack_path(good));
   std::string why;
