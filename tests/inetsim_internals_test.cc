@@ -1,5 +1,6 @@
 // Tick-simulator internals: suspect classification, group weights after
-// aggregation, and policy invariants.
+// aggregation, policy invariants, and per-policy mean shares pinned over
+// ten seeds.
 #include <gtest/gtest.h>
 
 #include "inetsim/tick_sim.h"
@@ -93,6 +94,63 @@ TEST(TickInternals, DisablingFilterRaisesAttackShare) {
   const TickResults rn = TickSim(w.graph, w.placement, normal).run();
   const TickResults rq = TickSim(w.graph, w.placement, no_filter).run();
   EXPECT_GE(rq.attack_frac, rn.attack_frac);
+}
+
+// The tick model's distribution, pinned per policy: the 10-seed mean of
+// legit_legit_frac stays within 1.5 pp of values recorded from a tick model
+// that shuffled every router's arrivals on every tick. Per-seed numbers may
+// move whenever the RNG stream changes; the means may not.
+struct PinRow {
+  const char* name;
+  TickPolicy policy;
+  int guaranteed_paths;
+  double mean_legit_legit;
+};
+
+void expect_pinned_means(int internal_capacity, const PinRow (&rows)[4],
+                         bool expect_internal_drops) {
+  SmallWorld w;
+  for (const PinRow& row : rows) {
+    double sum = 0.0;
+    std::uint64_t dropped_internal = 0;
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+      TickConfig t = cfg(row.policy);
+      t.guaranteed_paths = row.guaranteed_paths;
+      t.internal_capacity = internal_capacity;
+      t.seed = seed;
+      const TickResults r = TickSim(w.graph, w.placement, t).run();
+      sum += r.legit_legit_frac;
+      dropped_internal += r.dropped_internal;
+    }
+    EXPECT_NEAR(sum / 10.0, row.mean_legit_legit, 0.015) << row.name;
+    if (expect_internal_drops) {
+      EXPECT_GT(dropped_internal, 0u) << row.name;
+    } else {
+      EXPECT_EQ(dropped_internal, 0u) << row.name;
+    }
+  }
+}
+
+TEST(TickInternals, PinnedLegitShareWithoutInternalDrops) {
+  const PinRow rows[4] = {
+      {"ND", TickPolicy::kNoDefense, 0, 0.0116},
+      {"FF", TickPolicy::kFairPriority, 0, 0.4172},
+      {"NA", TickPolicy::kFloc, 0, 0.4619},
+      {"A-18", TickPolicy::kFloc, 18, 0.5175},
+  };
+  expect_pinned_means(cfg(TickPolicy::kFloc).internal_capacity, rows, false);
+}
+
+// Transit links as narrow as the target link: routers must drop, so the
+// overflow path of the forwarding loop runs.
+TEST(TickInternals, PinnedLegitShareUnderInternalOverflow) {
+  const PinRow rows[4] = {
+      {"ND", TickPolicy::kNoDefense, 0, 0.0113},
+      {"FF", TickPolicy::kFairPriority, 0, 0.1740},
+      {"NA", TickPolicy::kFloc, 0, 0.2067},
+      {"A-18", TickPolicy::kFloc, 18, 0.1980},
+  };
+  expect_pinned_means(cfg(TickPolicy::kFloc).bottleneck_capacity, rows, true);
 }
 
 TEST(TickInternals, BotRateScalesAttackPressure) {
