@@ -20,7 +20,9 @@
 //             Simulator, a per-Profiler-section ns breakdown that localizes
 //             a regression to cap_verify vs dispatch vs link, and the
 //             --jobs 1 vs --jobs N sweep speedup from the same wall times
-//             RunManifest records.
+//             RunManifest records; and a shrunk fig13 run of the tick
+//             simulator — target-link packets/sec and allocations per
+//             1000 packets.
 //
 // Debug hook: FLOC_PERF_HANDICAP=<mult> scales every FLoc-attributed timing
 // by <mult> before it is recorded. It exists to prove the regression gate
@@ -45,6 +47,7 @@
 #include "core/floc_queue.h"
 #include "core/model.h"
 #include "core/token_bucket.h"
+#include "inetsim/inet_experiment.h"
 #include "netsim/simulator.h"
 #include "telemetry/alloc_counter.h"
 #include "telemetry/perf_baseline.h"
@@ -65,7 +68,9 @@ namespace {
 using bench::BenchArgs;
 using telemetry::PerfReport;
 
-volatile std::uint64_t g_sink = 0;  // defeats dead-code elimination
+// Each benchmark stores its result here; the volatile store keeps the
+// compiler from eliminating the timed loop as dead code.
+volatile std::uint64_t g_sink = 0;
 
 struct SuiteArgs {
   bool quick = false;
@@ -157,7 +162,7 @@ double ns_siphash(int iters) {
     acc ^= siphash24_words(key, {static_cast<std::uint64_t>(i), 42, 7});
   }
   const std::uint64_t t1 = telemetry::clock_ns();
-  g_sink += acc;
+  g_sink = acc;
   return static_cast<double>(t1 - t0) / iters;
 }
 
@@ -177,7 +182,7 @@ double ns_cap_verify(int iters) {
   const std::uint64_t t0 = telemetry::clock_ns();
   for (int i = 0; i < iters; ++i) acc += issuer.verify(p, path_key) ? 1 : 0;
   const std::uint64_t t1 = telemetry::clock_ns();
-  g_sink += acc;
+  g_sink = acc;
   return static_cast<double>(t1 - t0) / iters;
 }
 
@@ -207,7 +212,7 @@ double ns_bloom_query(int iters) {
                                          2.0, 0.1);
   }
   const std::uint64_t t1 = telemetry::clock_ns();
-  g_sink += static_cast<std::uint64_t>(acc);
+  g_sink = static_cast<std::uint64_t>(acc);
   return static_cast<double>(t1 - t0) / iters;
 }
 
@@ -222,7 +227,7 @@ double ns_token_bucket(int iters) {
     t += 1e-4;
   }
   const std::uint64_t t1 = telemetry::clock_ns();
-  g_sink += acc;
+  g_sink = acc;
   return static_cast<double>(t1 - t0) / iters;
 }
 
@@ -248,7 +253,7 @@ double ns_aggregation_plan(int iters) {
     acc += static_cast<std::uint64_t>(agg.plan(snaps).identifier_count);
   }
   const std::uint64_t t1 = telemetry::clock_ns();
-  g_sink += acc;
+  g_sink = acc;
   return static_cast<double>(t1 - t0) / iters;
 }
 
@@ -288,7 +293,7 @@ double sim_dispatch_ns(int events) {
   sim.run();
   const std::uint64_t t1 = telemetry::clock_ns();
   const std::uint64_t done = sim.events_processed() - before;
-  g_sink += done;
+  g_sink = done;
   return static_cast<double>(t1 - t0) / static_cast<double>(done);
 }
 
@@ -397,7 +402,7 @@ double queue_workload_ns(QueueDisc& q, Load load, int packets) {
       break;
   }
   const std::uint64_t t1 = telemetry::clock_ns();
-  g_sink += q.drops() + q.admissions();
+  g_sink = q.drops() + q.admissions();
   return static_cast<double>(t1 - t0) / packets;
 }
 
@@ -476,7 +481,7 @@ double ns_floc_observed(Observer observer, int packets) {
   };
   pass();
   const std::uint64_t ns = pass();
-  g_sink += q.admissions();
+  g_sink = q.admissions();
   return static_cast<double>(ns) / packets;
 }
 
@@ -560,6 +565,35 @@ SweepResult run_macro_sweep(const SuiteArgs& a, int jobs,
       }
     }
   });
+  return out;
+}
+
+// --- macro: shrunk fig13 tick simulator ------------------------------------
+
+// Fig. 13's localized attack on one f-root world at scale 0.02, all five
+// policies through run_inet_experiment: the tick simulator end to end.
+struct TickMacro {
+  double wall_seconds = 0.0;
+  std::uint64_t pkts = 0;  // target-link packets: delivered plus dropped
+  std::uint64_t allocs = 0;
+};
+
+TickMacro run_fig13_macro(const SuiteArgs& a) {
+  InetExperimentConfig cfg;  // f-root, 100 attack ASes, 30% overlap
+  cfg.scale = 0.02;
+  cfg.ticks = a.quick ? 600 : 1000;
+  cfg.seed = derive_seed(a.seed, 0, kSeedStreamInetTopology);
+  TickMacro out;
+  std::vector<InetScenarioRow> rows;
+  telemetry::ScopedAllocCount allocs;
+  out.wall_seconds =
+      runner::timed_seconds([&] { rows = run_inet_experiment(cfg); });
+  out.allocs = allocs.allocs();
+  for (const InetScenarioRow& row : rows) {
+    const TickResults& r = row.results;
+    out.pkts += r.delivered_legit_legit + r.delivered_legit_attack +
+                r.delivered_attack + r.dropped_target;
+  }
   return out;
 }
 
@@ -767,6 +801,30 @@ int run_suite(const SuiteArgs& a) {
     std::printf("%-38s %10.2f x (--jobs %d)\n", "sweep.fig06.speedup", speedup,
                 a.jobs);
   }
+
+  // Macro: shrunk fig13 tick simulator — packets/s (trajectory) and
+  // allocations per 1000 target-link packets, setup included (gated: the
+  // count is deterministic).
+  {
+    std::vector<double> pkts_per_sec, allocs_per_kpkt;
+    for (int rep = 0; rep < a.macro_repeats; ++rep) {
+      const TickMacro m = run_fig13_macro(a);
+      pkts_per_sec.push_back(static_cast<double>(m.pkts) / m.wall_seconds);
+      allocs_per_kpkt.push_back(static_cast<double>(m.allocs) * 1000.0 /
+                                static_cast<double>(m.pkts));
+    }
+    const RepeatResult pps = summarize(pkts_per_sec, /*higher_is_better=*/true);
+    const RepeatResult alloc = summarize(allocs_per_kpkt, false);
+    report.add("macro.fig13.pkts_per_sec", pps.best, "pkts/s", pps.noise,
+               /*higher_is_better=*/true, /*gate=*/false);
+    report.add("alloc.fig13.allocs_per_kpkt", alloc.best, "allocs/kpkt",
+               alloc.noise, false, /*gate=*/true);
+    std::printf("%-38s %10.0f pkts/s (noise %.1f%%)\n",
+                "macro.fig13.pkts_per_sec", pps.best, 100.0 * pps.noise);
+    std::printf("%-38s %10.2f allocs/kpkt (noise %.1f%%)\n",
+                "alloc.fig13.allocs_per_kpkt", alloc.best, 100.0 * alloc.noise);
+  }
+
   for (const auto& [sec, st] : best_serial.sections) {
     if (st.calls == 0) continue;
     double ns = static_cast<double>(st.total_ns) / static_cast<double>(st.calls);

@@ -26,6 +26,12 @@ TickSim::TickSim(const AsGraph& graph, const SourcePlacement& placement,
   arrivals_.resize(n_as);
   arrivals_next_.resize(n_as);
   as_state_.resize(n_as);
+  std::size_t n_flows = 0;
+  for (std::size_t as = 0; as < n_as; ++as) {
+    n_flows += static_cast<std::size_t>(placement.legit_per_as[as] +
+                                        placement.bots_per_as[as]);
+  }
+  flows_.reserve(n_flows);
 
   for (int as = 0; as < graph_.size(); ++as) {
     const bool attack_as = placement.bots_per_as[static_cast<std::size_t>(as)] > 0;
@@ -124,35 +130,36 @@ void TickSim::forward_internal(int tick) {
     auto& carry = queue_[static_cast<std::size_t>(as)];
     auto& arr = arrivals_[static_cast<std::size_t>(as)];
     if (carry.empty() && arr.empty()) continue;
-    // New arrivals are served in random order behind the carryover — drops
-    // hit a uniformly random subset of the tick's packets (Section VII-B).
-    shuffle(arr, rng_);
     const int parent = graph_.node(as).parent;
     auto& out = arrivals_next_[static_cast<std::size_t>(parent)];
 
-    std::size_t sent = 0;
-    while (sent < cap && !carry.empty()) {
-      out.push_back(carry[sent]);
-      ++sent;
-      if (sent >= carry.size()) break;
+    // A router that forwards everything makes no choice, so it draws no
+    // randomness and keeps its order: every consumer whose outcome depends
+    // on order (a parent that overflows, the target link) shuffles its own
+    // arrivals, and a uniform shuffle's output does not depend on its input.
+    if (carry.size() + arr.size() <= cap) {
+      out.insert(out.end(), carry.begin(), carry.end());
+      out.insert(out.end(), arr.begin(), arr.end());
+      carry.clear();
+      arr.clear();
+      continue;
     }
-    if (sent > 0 || !carry.empty()) {
-      carry.erase(carry.begin(),
-                  carry.begin() + static_cast<long>(std::min(sent, carry.size())));
-    }
-    std::size_t ai = 0;
-    while (sent < cap && ai < arr.size()) {
-      out.push_back(arr[ai]);
-      ++ai;
-      ++sent;
-    }
+    // New arrivals are served in random order behind the carryover — drops
+    // hit a uniformly random subset of the tick's packets (Section VII-B).
+    shuffle(arr, rng_);
+    const std::size_t from_carry = std::min(cap, carry.size());
+    out.insert(out.end(), carry.begin(),
+               carry.begin() + static_cast<long>(from_carry));
+    carry.erase(carry.begin(), carry.begin() + static_cast<long>(from_carry));
+    const std::size_t from_arr = std::min(cap - from_carry, arr.size());
+    out.insert(out.end(), arr.begin(), arr.begin() + static_cast<long>(from_arr));
     // Remaining arrivals buffer up to the carryover limit; the rest drop.
-    while (ai < arr.size() && carry.size() < buffer) {
-      carry.push_back(arr[ai]);
-      ++ai;
-    }
-    for (; ai < arr.size(); ++ai) {
-      flows_[static_cast<std::size_t>(arr[ai])].dropped_this_epoch = true;
+    const std::size_t held = from_arr + std::min(arr.size() - from_arr,
+                                                 buffer - carry.size());
+    carry.insert(carry.end(), arr.begin() + static_cast<long>(from_arr),
+                 arr.begin() + static_cast<long>(held));
+    for (std::size_t i = held; i < arr.size(); ++i) {
+      flows_[static_cast<std::size_t>(arr[i])].dropped_this_epoch = true;
       ++results_.dropped_internal;
     }
     arr.clear();
@@ -166,27 +173,37 @@ void TickSim::target_link_service(int tick, bool measuring) {
   const auto cap = static_cast<std::size_t>(cfg_.bottleneck_capacity);
   const std::size_t buffer = cap * static_cast<std::size_t>(cfg_.queue_buffer_factor);
 
+  // This tick's pool: the carryover, then the arrivals in random order.
   shuffle(arr, rng_);
-  std::vector<std::int32_t> pool;
-  pool.reserve(carry.size() + arr.size());
-  pool.insert(pool.end(), carry.begin(), carry.end());
-  pool.insert(pool.end(), arr.begin(), arr.end());
+  pool_.swap(carry);
+  pool_.insert(pool_.end(), arr.begin(), arr.end());
   carry.clear();
   arr.clear();
+  leftover_.clear();
 
-  std::vector<std::int32_t> delivered;
-  delivered.reserve(cap);
-  std::vector<std::int32_t> leftover;
+  // A delivered packet is only counted, by class, in the measured interval.
+  std::size_t sent = 0;
+  auto deliver = [&](std::int32_t p) {
+    ++sent;
+    if (!measuring) return;
+    const Flow& f = flows_[static_cast<std::size_t>(p)];
+    if (f.is_bot) {
+      ++results_.delivered_attack;
+    } else if (f.in_attack_as) {
+      ++results_.delivered_legit_attack;
+    } else {
+      ++results_.delivered_legit_legit;
+    }
+  };
+  // Delivers while the link has capacity left, else queues on `rest`.
+  auto serve = [&](std::int32_t p, std::vector<std::int32_t>& rest) {
+    if (sent < cap) deliver(p);
+    else rest.push_back(p);
+  };
 
   switch (cfg_.policy) {
     case TickPolicy::kNoDefense: {
-      for (std::int32_t p : pool) {
-        if (delivered.size() < cap) {
-          delivered.push_back(p);
-        } else {
-          leftover.push_back(p);
-        }
-      }
+      for (std::int32_t p : pool_) serve(p, leftover_);
       break;
     }
     case TickPolicy::kFairPriority: {
@@ -195,22 +212,17 @@ void TickSim::target_link_service(int tick, bool measuring) {
       const double fair =
           static_cast<double>(cfg_.bottleneck_capacity) /
           std::max<std::size_t>(1, flows_.size());
-      std::vector<std::int32_t> high, low;
-      for (std::int32_t p : pool) {
+      high_.clear();
+      low_.clear();
+      for (std::int32_t p : pool_) {
         const Flow& f = flows_[static_cast<std::size_t>(p)];
         const bool in_profile =
             !f.is_bot ||
             rng_.chance(std::min(1.0, fair / std::max(1e-9, f.rate_est)));
-        (in_profile ? high : low).push_back(p);
+        (in_profile ? high_ : low_).push_back(p);
       }
-      for (std::int32_t p : high) {
-        if (delivered.size() < cap) delivered.push_back(p);
-        else leftover.push_back(p);
-      }
-      for (std::int32_t p : low) {
-        if (delivered.size() < cap) delivered.push_back(p);
-        else leftover.push_back(p);
-      }
+      for (std::int32_t p : high_) serve(p, leftover_);
+      for (std::int32_t p : low_) serve(p, leftover_);
       break;
     }
     case TickPolicy::kFloc: {
@@ -223,21 +235,21 @@ void TickSim::target_link_service(int tick, bool measuring) {
       // accrues as credit (capped at several ticks' worth — the analogue of
       // the enlarged bucket N', Eq. IV.3) so the AIMD sawtooth of legitimate
       // flows averages out to the full share instead of being peak-clipped.
+      // The per-flow fair rate within each group is computed once per tick.
       if (group_credit_.size() != group_weight_.size())
         group_credit_.assign(group_weight_.size(), 0.0);
-      std::vector<double> group_quota(group_weight_.size());
+      group_fair_.resize(group_weight_.size());
       for (std::size_t g = 0; g < group_weight_.size(); ++g) {
         const double share =
             cfg_.bottleneck_capacity * group_weight_[g] / total_weight;
         group_credit_[g] = std::min(6.0 * share, group_credit_[g] + share);
-        group_quota[g] = share;
+        group_fair_[g] = share / std::max(1.0, group_flows_[g]);
       }
-      for (std::int32_t p : pool) {
+      for (std::int32_t p : pool_) {
         Flow& f = flows_[static_cast<std::size_t>(p)];
         const auto g = static_cast<std::size_t>(
             as_state_[static_cast<std::size_t>(f.origin_as)].agg_group);
-        const double fair =
-            group_quota[g] / std::max(1.0, group_flows_[g]);
+        const double fair = group_fair_[g];
         // Preferential service probability: min{1, fair/rate} — the tick-
         // level analogue of min{1, MTD/(n*T)} (Eq. IV.5). Only flows beyond
         // the attack classification threshold are filtered; responsive flows
@@ -245,13 +257,13 @@ void TickSim::target_link_service(int tick, bool measuring) {
         const bool preferred =
             f.rate_est <= cfg_.attack_over_rate * fair ||
             rng_.chance(std::min(1.0, fair / std::max(1e-9, f.rate_est)));
-        if (preferred && group_credit_[g] >= 1.0 && delivered.size() < cap) {
+        if (preferred && group_credit_[g] >= 1.0 && sent < cap) {
           group_credit_[g] -= 1.0;
-          delivered.push_back(p);
+          deliver(p);
         } else if (preferred) {
           spare_candidates_.push_back(p);  // conformant, quota exhausted
         } else {
-          leftover.push_back(p);
+          leftover_.push_back(p);
         }
       }
       // Work conservation: spare capacity first serves conformant flows
@@ -261,49 +273,25 @@ void TickSim::target_link_service(int tick, bool measuring) {
       // are queued, not dropped, mirroring how the router buffer absorbs
       // legitimate bursts in the packet-level design.
       shuffle(spare_candidates_, rng_);
-      std::vector<std::int32_t> preferred_wait;
-      for (std::int32_t p : spare_candidates_) {
-        if (delivered.size() < cap) delivered.push_back(p);
-        else preferred_wait.push_back(p);
-      }
+      preferred_wait_.clear();
+      for (std::int32_t p : spare_candidates_) serve(p, preferred_wait_);
       spare_candidates_.clear();
-      shuffle(leftover, rng_);
-      std::vector<std::int32_t> still_left;
-      for (std::int32_t p : leftover) {
-        if (delivered.size() < cap) delivered.push_back(p);
-        else still_left.push_back(p);
-      }
-      leftover = std::move(still_left);
-      // Prepend conformant waiters so the following carryover fill keeps
-      // them preferentially.
-      preferred_wait.insert(preferred_wait.end(), leftover.begin(),
-                            leftover.end());
-      leftover = std::move(preferred_wait);
+      // What the spare capacity does not take queues behind the conformant
+      // waiters, so the carryover fill below keeps them preferentially.
+      shuffle(leftover_, rng_);
+      for (std::int32_t p : leftover_) serve(p, preferred_wait_);
+      leftover_.swap(preferred_wait_);
       break;
     }
   }
 
-  for (std::int32_t p : delivered) {
-    const Flow& f = flows_[static_cast<std::size_t>(p)];
-    if (!measuring) continue;
-    if (f.is_bot) {
-      ++results_.delivered_attack;
-    } else if (f.in_attack_as) {
-      ++results_.delivered_legit_attack;
-    } else {
-      ++results_.delivered_legit_legit;
-    }
-  }
   // Carryover up to the buffer; the rest drop (and signal the TCP model).
-  std::size_t kept = 0;
-  for (std::int32_t p : leftover) {
-    if (kept < buffer) {
-      carry.push_back(p);
-      ++kept;
-    } else {
-      flows_[static_cast<std::size_t>(p)].dropped_this_epoch = true;
-      ++results_.dropped_target;
-    }
+  const std::size_t kept = std::min(buffer, leftover_.size());
+  carry.insert(carry.end(), leftover_.begin(),
+               leftover_.begin() + static_cast<long>(kept));
+  for (std::size_t i = kept; i < leftover_.size(); ++i) {
+    flows_[static_cast<std::size_t>(leftover_[i])].dropped_this_epoch = true;
+    ++results_.dropped_target;
   }
 }
 

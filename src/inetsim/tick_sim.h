@@ -97,21 +97,23 @@ class TickSim {
   int group_count() const { return group_count_; }
 
  private:
+  // Fields ordered so the record packs into 48 bytes.
   struct Flow {
     std::int32_t origin_as;
-    bool is_bot;
-    bool in_attack_as;
     // Legit TCP model:
-    double window = 1.0;
     int rtt_ticks = 8;
     int next_epoch = 0;
     bool dropped_this_epoch = false;
+    bool is_bot;
+    bool in_attack_as;
+    double window = 1.0;
     // Bot emission accumulator:
     double emit_credit = 0.0;
     // Measured send rate (EWMA pkts/tick) for FLoc classification:
     double rate_est = 0.0;
     std::uint64_t arrived_interval = 0;
   };
+  static_assert(sizeof(Flow) == 48);
 
   void emit_sources(int tick);
   void forward_internal(int tick);
@@ -138,8 +140,16 @@ class TickSim {
   std::vector<double> group_weight_;  // bandwidth shares per aggregate group
   std::vector<double> group_flows_;   // accounting flows per group
   std::vector<double> group_credit_;  // DRR carryover credit (packets)
-  std::vector<std::int32_t> spare_candidates_;  // scratch (target link)
   int group_count_ = 0;
+
+  // Target-link scratch, reused across ticks so a tick allocates nothing
+  // once the buffers reach their high-water marks.
+  std::vector<std::int32_t> pool_;        // carryover, then shuffled arrivals
+  std::vector<std::int32_t> leftover_;    // candidates for the carryover
+  std::vector<std::int32_t> high_, low_;  // FF priority classes
+  std::vector<double> group_fair_;        // per-flow fair rate per group
+  std::vector<std::int32_t> spare_candidates_;  // conformant, quota spent
+  std::vector<std::int32_t> preferred_wait_;    // next carryover, in order
 
   TickResults results_;
 };

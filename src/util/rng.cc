@@ -43,13 +43,12 @@ double Rng::uniform() {
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
 std::uint64_t Rng::uniform_int(std::uint64_t n) {
-  // Lemire's nearly-divisionless bounded sampling would be overkill here;
-  // modulo bias is negligible for the ranges used in the simulator, but we
-  // use rejection to keep streams exactly uniform.
-  const std::uint64_t threshold = (0 - n) % n;
+  // Rejection keeps streams exactly uniform: draws below 2^64 mod n are
+  // redrawn. That threshold is below n, so a draw r >= n is accepted
+  // without computing it, and almost every call costs one division.
   for (;;) {
     const std::uint64_t r = next_u64();
-    if (r >= threshold) return r % n;
+    if (r >= n || r >= (0 - n) % n) return r % n;
   }
 }
 

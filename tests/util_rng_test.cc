@@ -59,6 +59,33 @@ TEST(Rng, UniformIntCoversRange) {
   }
 }
 
+// uniform_int skips the threshold division when r >= n; it must still
+// consume and return exactly what plain two-division rejection does. The
+// large bounds make r < n common, so both branches and real rejections run.
+TEST(Rng, UniformIntMatchesReferenceRejection) {
+  auto reference = [](Rng& rng, std::uint64_t n) {
+    const std::uint64_t threshold = (0 - n) % n;
+    for (;;) {
+      const std::uint64_t r = rng.next_u64();
+      if (r >= threshold) return r % n;
+    }
+  };
+  const std::uint64_t bounds[] = {1,
+                                  2,
+                                  3,
+                                  1000,
+                                  (std::uint64_t{1} << 32) + 1,
+                                  (std::uint64_t{1} << 63) + 1,
+                                  ~std::uint64_t{0}};
+  for (const std::uint64_t n : bounds) {
+    Rng fast(29), ref(29);
+    for (int i = 0; i < 20000; ++i) {
+      ASSERT_EQ(fast.uniform_int(n), reference(ref, n)) << n << " draw " << i;
+    }
+    EXPECT_EQ(fast.next_u64(), ref.next_u64()) << n;  // same draws consumed
+  }
+}
+
 TEST(Rng, ChanceEdgeCases) {
   Rng r(19);
   for (int i = 0; i < 100; ++i) {
