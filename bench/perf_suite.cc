@@ -20,9 +20,10 @@
 //             Simulator, a per-Profiler-section ns breakdown that localizes
 //             a regression to cap_verify vs dispatch vs link, and the
 //             --jobs 1 vs --jobs N sweep speedup from the same wall times
-//             RunManifest records; and a shrunk fig13 run of the tick
-//             simulator — target-link packets/sec and allocations per
-//             1000 packets.
+//             RunManifest records; a shrunk fig07 grid (FLoc, Pushback and
+//             RED-PD under two CBR strengths) — events/sec; and a shrunk
+//             fig13 run of the tick simulator — target-link packets/sec and
+//             allocations per 1000 packets.
 //
 // Debug hook: FLOC_PERF_HANDICAP=<mult> scales every FLoc-attributed timing
 // by <mult> before it is recorded. It exists to prove the regression gate
@@ -395,7 +396,7 @@ double queue_workload_ns(QueueDisc& q, Load load, int packets) {
         t += burst_pkt ? dt / 8.0 : dt;
         if (i % 64 == 63) {
           t += 0.005;  // inter-pulse gap
-          while (q.dequeue(t).has_value()) {
+          while (q.dequeue(t)) {
           }
         }
       }
@@ -566,6 +567,35 @@ SweepResult run_macro_sweep(const SuiteArgs& a, int jobs,
     }
   });
   return out;
+}
+
+// --- macro: shrunk fig07 grid ----------------------------------------------
+
+// Fig. 7's scheme x attack-strength grid on the macro tree: FLoc, Pushback
+// and RED-PD on the target link under CBR floods of 0.5 and 2 Mbps per bot,
+// run serially with the same seeds every repeat. Unlike fig06 most cases run
+// a baseline discipline, so netsim and transport dominate the events/s.
+double fig07_macro_events_per_sec(const SuiteArgs& a) {
+  const DefenseScheme schemes[] = {DefenseScheme::kFloc,
+                                   DefenseScheme::kPushback,
+                                   DefenseScheme::kRedPd};
+  std::uint64_t events = 0;
+  const double wall = runner::timed_seconds([&] {
+    std::uint64_t i = 0;
+    for (const DefenseScheme scheme : schemes) {
+      for (const double rate : {0.5, 2.0}) {
+        TreeScenarioConfig cfg = macro_config(
+            AttackType::kCbr,
+            derive_seed(a.seed, 100 + i++, kSeedStreamTreeScenario), a.quick);
+        cfg.scheme = scheme;
+        cfg.attack_rate = mbps(rate);
+        TreeScenario s(cfg);
+        s.run();
+        events += s.sim().events_processed();
+      }
+    }
+  });
+  return static_cast<double>(events) / wall;
 }
 
 // --- macro: shrunk fig13 tick simulator ------------------------------------
@@ -800,6 +830,16 @@ int run_suite(const SuiteArgs& a) {
                 "macro.fig06.events_per_sec", best_eps, 100.0 * noise);
     std::printf("%-38s %10.2f x (--jobs %d)\n", "sweep.fig06.speedup", speedup,
                 a.jobs);
+  }
+
+  // Macro: shrunk fig07 grid — events/sec (trajectory).
+  {
+    const RepeatResult eps = repeat(a.macro_repeats, /*higher_is_better=*/true,
+                                    [&] { return fig07_macro_events_per_sec(a); });
+    report.add("macro.fig07.events_per_sec", eps.best, "events/s", eps.noise,
+               /*higher_is_better=*/true, /*gate=*/false);
+    std::printf("%-38s %10.0f events/s (noise %.1f%%)\n",
+                "macro.fig07.events_per_sec", eps.best, 100.0 * eps.noise);
   }
 
   // Macro: shrunk fig13 tick simulator — packets/s (trajectory) and

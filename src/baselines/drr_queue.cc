@@ -8,7 +8,8 @@
 
 namespace floc {
 
-bool DrrQueue::enqueue(Packet&& p, TimeSec now) {
+bool DrrQueue::enqueue(PacketRef ref, TimeSec now) {
+  const Packet& p = *ref;
   if (total_packets_ >= cfg_.buffer_packets) {
     note_drop(p, DropReason::kQueueFull, now);
     return false;
@@ -24,12 +25,12 @@ bool DrrQueue::enqueue(Packet&& p, TimeSec now) {
     round_.push_back(p.flow);
   }
   ++total_packets_;
-  fq.q.push_back(std::move(p));
+  fq.q.push_back(std::move(ref));
   note_admit();
   return true;
 }
 
-std::optional<Packet> DrrQueue::dequeue(TimeSec) {
+PacketRef DrrQueue::dequeue(TimeSec) {
   // Round-robin over active flows; a flow whose deficit cannot cover its
   // head packet is topped up by one quantum and moved to the back. The guard
   // bounds the scan: a packet needs at most ceil(size/quantum) top-ups.
@@ -50,9 +51,8 @@ std::optional<Packet> DrrQueue::dequeue(TimeSec) {
       round_.splice(round_.end(), round_, round_.begin());
       continue;
     }
-    Packet p = std::move(fq.q.front());
-    fq.q.pop_front();
-    fq.deficit -= p.size_bytes;
+    PacketRef p = fq.q.pop_front();
+    fq.deficit -= p->size_bytes;
     --total_packets_;
     if (fq.q.empty()) {
       fq.in_round = false;
@@ -61,7 +61,7 @@ std::optional<Packet> DrrQueue::dequeue(TimeSec) {
     }
     return p;
   }
-  return std::nullopt;
+  return {};
 }
 
 std::size_t DrrQueue::byte_count() const {

@@ -27,8 +27,8 @@ class DrrQueue : public QueueDisc {
  public:
   explicit DrrQueue(DrrConfig cfg) : cfg_(cfg) {}
 
-  bool enqueue(Packet&& p, TimeSec now) override;
-  std::optional<Packet> dequeue(TimeSec now) override;
+  bool enqueue(PacketRef p, TimeSec now) override;
+  PacketRef dequeue(TimeSec now) override;
   bool empty() const override { return total_packets_ == 0; }
   std::size_t packet_count() const override { return total_packets_; }
   std::size_t byte_count() const override;

@@ -22,8 +22,9 @@ void PriorityFairQueue::roll_interval(TimeSec now) {
   bytes_this_interval_.clear();
 }
 
-bool PriorityFairQueue::enqueue(Packet&& p, TimeSec now) {
+bool PriorityFairQueue::enqueue(PacketRef ref, TimeSec now) {
   roll_interval(now);
+  const Packet& p = *ref;
 
   bool high_priority = true;
   if (p.type == PacketType::kData) {
@@ -47,17 +48,15 @@ bool PriorityFairQueue::enqueue(Packet&& p, TimeSec now) {
       return false;
     }
   }
-  (high_priority ? high_ : low_).push_back(std::move(p));
+  (high_priority ? high_ : low_).push_back(std::move(ref));
   note_admit();
   return true;
 }
 
-std::optional<Packet> PriorityFairQueue::dequeue(TimeSec) {
+PacketRef PriorityFairQueue::dequeue(TimeSec) {
   PacketFifo* src = !high_.empty() ? &high_ : (!low_.empty() ? &low_ : nullptr);
-  if (src == nullptr) return std::nullopt;
-  Packet p = std::move(src->front());
-  src->pop_front();
-  return p;
+  if (src == nullptr) return {};
+  return src->pop_front();
 }
 
 void PriorityFairQueue::snapshot_state(json::JsonWriter& w, TimeSec now) const {

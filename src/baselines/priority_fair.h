@@ -34,8 +34,8 @@ class PriorityFairQueue : public QueueDisc {
 
   PriorityFairQueue(PriorityFairConfig cfg, LegitClassifier is_legit);
 
-  bool enqueue(Packet&& p, TimeSec now) override;
-  std::optional<Packet> dequeue(TimeSec now) override;
+  bool enqueue(PacketRef p, TimeSec now) override;
+  PacketRef dequeue(TimeSec now) override;
   bool empty() const override { return high_.empty() && low_.empty(); }
   std::size_t packet_count() const override { return high_.size() + low_.size(); }
   std::size_t byte_count() const override {

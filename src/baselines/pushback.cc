@@ -118,7 +118,8 @@ void PushbackQueue::acc_update(TimeSec now) {
   packets_interval_ = 0;
 }
 
-bool PushbackQueue::enqueue(Packet&& p, TimeSec now) {
+bool PushbackQueue::enqueue(PacketRef ref, TimeSec now) {
+  const Packet& p = *ref;
   acc_update(now);
 
   if (p.type == PacketType::kData) {
@@ -155,16 +156,14 @@ bool PushbackQueue::enqueue(Packet&& p, TimeSec now) {
     note_drop(p, DropReason::kQueueFull, now);
     return false;
   }
-  q_.push_back(std::move(p));
+  q_.push_back(std::move(ref));
   note_admit();
   return true;
 }
 
-std::optional<Packet> PushbackQueue::dequeue(TimeSec) {
-  if (q_.empty()) return std::nullopt;
-  Packet p = std::move(q_.front());
-  q_.pop_front();
-  return p;
+PacketRef PushbackQueue::dequeue(TimeSec) {
+  if (q_.empty()) return {};
+  return q_.pop_front();
 }
 
 void PushbackQueue::register_metrics(telemetry::MetricRegistry& reg,

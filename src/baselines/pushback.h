@@ -57,8 +57,8 @@ class PushbackQueue : public QueueDisc {
   void set_pushback_handler(PushbackHandler h) { handler_ = std::move(h); }
   void set_shed_probe(ShedProbe p) { shed_probe_ = std::move(p); }
 
-  bool enqueue(Packet&& p, TimeSec now) override;
-  std::optional<Packet> dequeue(TimeSec now) override;
+  bool enqueue(PacketRef p, TimeSec now) override;
+  PacketRef dequeue(TimeSec now) override;
   bool empty() const override { return q_.empty(); }
   std::size_t packet_count() const override { return q_.size(); }
   std::size_t byte_count() const override { return q_.bytes(); }

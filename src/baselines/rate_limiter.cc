@@ -31,7 +31,8 @@ double RateLimiterQueue::take_shed_bytes(const PathId& prefix) {
   return shed;
 }
 
-bool RateLimiterQueue::enqueue(Packet&& p, TimeSec now) {
+bool RateLimiterQueue::enqueue(PacketRef ref, TimeSec now) {
+  const Packet& p = *ref;
   if (p.type == PacketType::kData && !limits_.empty()) {
     for (auto it = limits_.begin(); it != limits_.end();) {
       if (it->second.expires <= now) {
@@ -59,16 +60,14 @@ bool RateLimiterQueue::enqueue(Packet&& p, TimeSec now) {
     note_drop(p, DropReason::kQueueFull, now);
     return false;
   }
-  q_.push_back(std::move(p));
+  q_.push_back(std::move(ref));
   note_admit();
   return true;
 }
 
-std::optional<Packet> RateLimiterQueue::dequeue(TimeSec) {
-  if (q_.empty()) return std::nullopt;
-  Packet p = std::move(q_.front());
-  q_.pop_front();
-  return p;
+PacketRef RateLimiterQueue::dequeue(TimeSec) {
+  if (q_.empty()) return {};
+  return q_.pop_front();
 }
 
 void RateLimiterQueue::snapshot_state(json::JsonWriter& w, TimeSec now) const {

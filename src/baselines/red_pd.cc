@@ -60,7 +60,8 @@ void RedPdQueue::rotate_epoch(TimeSec now) {
   }
 }
 
-bool RedPdQueue::enqueue(Packet&& p, TimeSec now) {
+bool RedPdQueue::enqueue(PacketRef ref, TimeSec now) {
+  const Packet& p = *ref;
   rotate_epoch(now);
 
   const auto record_drop = [this](FlowId flow) {
@@ -91,15 +92,14 @@ bool RedPdQueue::enqueue(Packet&& p, TimeSec now) {
     return false;
   }
 
-  q_.push_back(std::move(p));
+  q_.push_back(std::move(ref));
   note_admit();
   return true;
 }
 
-std::optional<Packet> RedPdQueue::dequeue(TimeSec now) {
-  if (q_.empty()) return std::nullopt;
-  Packet p = std::move(q_.front());
-  q_.pop_front();
+PacketRef RedPdQueue::dequeue(TimeSec now) {
+  if (q_.empty()) return {};
+  PacketRef p = q_.pop_front();
   if (q_.empty()) red_.on_queue_empty(now);
   return p;
 }

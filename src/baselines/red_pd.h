@@ -39,8 +39,8 @@ class RedPdQueue : public QueueDisc {
  public:
   explicit RedPdQueue(RedPdConfig cfg);
 
-  bool enqueue(Packet&& p, TimeSec now) override;
-  std::optional<Packet> dequeue(TimeSec now) override;
+  bool enqueue(PacketRef p, TimeSec now) override;
+  PacketRef dequeue(TimeSec now) override;
   bool empty() const override { return q_.empty(); }
   std::size_t packet_count() const override { return q_.size(); }
   std::size_t byte_count() const override { return q_.bytes(); }

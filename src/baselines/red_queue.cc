@@ -42,13 +42,13 @@ bool RedCore::should_drop(std::size_t q_len, TimeSec now) {
   return false;
 }
 
-bool RedQueue::enqueue(Packet&& p, TimeSec now) {
+bool RedQueue::enqueue(PacketRef p, TimeSec now) {
   if (q_.size() >= cfg_.buffer_packets) {
-    note_drop(p, DropReason::kQueueFull, now);
+    note_drop(*p, DropReason::kQueueFull, now);
     return false;
   }
   if (core_.should_drop(q_.size(), now)) {
-    note_drop(p, DropReason::kRandomEarly, now);
+    note_drop(*p, DropReason::kRandomEarly, now);
     return false;
   }
   q_.push_back(std::move(p));
@@ -56,10 +56,9 @@ bool RedQueue::enqueue(Packet&& p, TimeSec now) {
   return true;
 }
 
-std::optional<Packet> RedQueue::dequeue(TimeSec now) {
-  if (q_.empty()) return std::nullopt;
-  Packet p = std::move(q_.front());
-  q_.pop_front();
+PacketRef RedQueue::dequeue(TimeSec now) {
+  if (q_.empty()) return {};
+  PacketRef p = q_.pop_front();
   if (q_.empty()) core_.on_queue_empty(now);
   return p;
 }

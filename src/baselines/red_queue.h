@@ -50,8 +50,8 @@ class RedQueue : public QueueDisc {
  public:
   explicit RedQueue(RedConfig cfg) : cfg_(cfg), core_(cfg) {}
 
-  bool enqueue(Packet&& p, TimeSec now) override;
-  std::optional<Packet> dequeue(TimeSec now) override;
+  bool enqueue(PacketRef p, TimeSec now) override;
+  PacketRef dequeue(TimeSec now) override;
   bool empty() const override { return q_.empty(); }
   std::size_t packet_count() const override { return q_.size(); }
   std::size_t byte_count() const override { return q_.bytes(); }

@@ -644,7 +644,7 @@ void FlocQueue::on_drop(const Packet& p, DropReason r, OriginPathState& op,
   note_drop(p, r, now);
 }
 
-bool FlocQueue::enqueue(Packet&& p, TimeSec now) {
+bool FlocQueue::enqueue(PacketRef p, TimeSec now) {
   telemetry::ScopedTimer timer(prof_enqueue_);
   const bool admitted = enqueue_impl(std::move(p), now);
   // Telemetry off: one pointer test. On: detect mode transitions caused by
@@ -653,8 +653,9 @@ bool FlocQueue::enqueue(Packet&& p, TimeSec now) {
   return admitted;
 }
 
-bool FlocQueue::enqueue_impl(Packet&& p, TimeSec now) {
+bool FlocQueue::enqueue_impl(PacketRef ref, TimeSec now) {
   if (now >= next_control_) control(now);
+  Packet& p = *ref;
 
   switch (p.type) {
     case PacketType::kSyn: {
@@ -700,7 +701,7 @@ bool FlocQueue::enqueue_impl(Packet&& p, TimeSec now) {
     }
   }
 
-  q_.push_back(std::move(p));
+  q_.push_back(std::move(ref));
   note_admit();
   return true;
 }
@@ -921,11 +922,10 @@ bool FlocQueue::admit_data(Packet& p, std::uint64_t pkey, TimeSec now) {
   return true;
 }
 
-std::optional<Packet> FlocQueue::dequeue(TimeSec now) {
+PacketRef FlocQueue::dequeue(TimeSec now) {
   telemetry::ScopedTimer timer(prof_dequeue_);
-  if (q_.empty()) return std::nullopt;
-  Packet p = std::move(q_.front());
-  q_.pop_front();
+  if (q_.empty()) return {};
+  PacketRef p = q_.pop_front();
   ++dequeues_;
   if (journal() != nullptr) journal_mode(now);
   return p;

@@ -199,8 +199,8 @@ class FlocQueue : public QueueDisc {
   static constexpr int kAttackLatch = 4;
   static constexpr int kAttackRelease = 4;
 
-  bool enqueue(Packet&& p, TimeSec now) override;
-  std::optional<Packet> dequeue(TimeSec now) override;
+  bool enqueue(PacketRef p, TimeSec now) override;
+  PacketRef dequeue(TimeSec now) override;
   bool empty() const override { return q_.empty(); }
   std::size_t packet_count() const override { return q_.size(); }
   std::size_t byte_count() const override { return q_.bytes(); }
@@ -386,7 +386,7 @@ class FlocQueue : public QueueDisc {
   void update_overload(TimeSec now);
   void register_state_gauges(telemetry::MetricRegistry& reg) const;
 
-  bool enqueue_impl(Packet&& p, TimeSec now);
+  bool enqueue_impl(PacketRef ref, TimeSec now);
   bool admit_data(Packet& p, std::uint64_t pkey, TimeSec now);
   // Journal slow path; callers gate on `journal() != nullptr`.
   void journal_mode(TimeSec now);

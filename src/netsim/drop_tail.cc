@@ -2,9 +2,9 @@
 
 namespace floc {
 
-bool DropTailQueue::enqueue(Packet&& p, TimeSec now) {
+bool DropTailQueue::enqueue(PacketRef p, TimeSec now) {
   if (q_.size() >= capacity_) {
-    note_drop(p, DropReason::kQueueFull, now);
+    note_drop(*p, DropReason::kQueueFull, now);
     return false;
   }
   q_.push_back(std::move(p));
@@ -12,11 +12,9 @@ bool DropTailQueue::enqueue(Packet&& p, TimeSec now) {
   return true;
 }
 
-std::optional<Packet> DropTailQueue::dequeue(TimeSec) {
-  if (q_.empty()) return std::nullopt;
-  Packet p = std::move(q_.front());
-  q_.pop_front();
-  return p;
+PacketRef DropTailQueue::dequeue(TimeSec) {
+  if (q_.empty()) return {};
+  return q_.pop_front();
 }
 
 }  // namespace floc

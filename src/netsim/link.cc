@@ -28,12 +28,12 @@ void Link::set_tracer(telemetry::Tracer* tracer, std::int32_t pid,
   queue_->set_tracer(tracer);
 }
 
-void Link::send(Packet&& p) {
+void Link::send(PacketRef p) {
   if (!up_) {
     ++down_drops_;
     return;
   }
-  if (tracer_ != nullptr) trace_enqueue(p);
+  if (tracer_ != nullptr) trace_enqueue(*p);
   bool admitted;
   {
     telemetry::ScopedTimer timer(prof_enqueue_);
@@ -75,7 +75,7 @@ void Link::set_up(bool up, DownQueuePolicy policy) {
   if (!up_) {
     if (policy == DownQueuePolicy::kDrain) {
       const TimeSec now = sim_->now();
-      while (std::optional<Packet> p = queue_->dequeue(now)) {
+      while (PacketRef p = queue_->dequeue(now)) {
         ++down_drops_;
         // Not a queue verdict, so no DropReason: end the residency span with
         // the link-down status instead of leaving it open.
@@ -92,7 +92,7 @@ void Link::set_up(bool up, DownQueuePolicy policy) {
 
 void Link::try_transmit() {
   if (!up_ || transmitting()) return;
-  std::optional<Packet> pkt;
+  PacketRef pkt;
   {
     telemetry::ScopedTimer timer(prof_dequeue_);
     pkt = queue_->dequeue(sim_->now());
@@ -109,18 +109,14 @@ void Link::try_transmit() {
   // is ever scheduled; it is scheduled only once a packet is waiting.
   busy_until_ = sim_->now() + tx;
   tx_done_seq_ = sim_->reserve_seq();
-  wire_.push_back(std::move(*pkt));
+  wire_.push_back(std::move(pkt));
   auto delivery = [this] { deliver(); };
   static_assert(Simulator::Callback::fits_inline<decltype(delivery)>());
   sim_->schedule_in(tx + delay_, delivery);
   if (!queue_->empty()) schedule_tx_done();
 }
 
-void Link::deliver() {
-  Packet p = wire_.front();
-  wire_.pop_front();
-  to_->receive(std::move(p));
-}
+void Link::deliver() { to_->receive(wire_.pop_front()); }
 
 void Link::trace_transmit(Packet& p, TimeSec tx) {
   const TimeSec now = sim_->now();

@@ -10,6 +10,13 @@
 // a packet only after the previous one has serialized, so they land in
 // transmit order (see docs/INTERNALS.md, "Event engine").
 //
+// Packets move as slab slots (PacketRef, netsim/packet_fifo.h), never as
+// copies: send() hands the slot to the queue discipline, transmission moves
+// the slot the queue released onto the wire, and delivery hands that same
+// slot to the next node. A packet refused by the queue or offered to a
+// downed link, and one drained from a downed link's queue, returns its slot
+// to the slab at once.
+//
 // Links carry fault state for the fault-injection subsystem (src/faultsim):
 // a downed link drops every offered packet; on recovery transmission resumes
 // from the (optionally preserved) egress queue. A tamper hook lets fault
@@ -45,7 +52,7 @@ class Link {
 
   // Offer a packet to the egress queue and start transmitting if idle.
   // Offered packets are dropped outright while the link is down.
-  void send(Packet&& p);
+  void send(PacketRef p);
 
   // Bring the link down or back up. A packet mid-serialization when the link
   // fails is already on the wire and still delivers; nothing new starts
@@ -56,8 +63,9 @@ class Link {
   // link.
   std::uint64_t down_drops() const { return down_drops_; }
 
-  // Wire-level tamper hook (fault injection): invoked on each packet as it
-  // begins serialization, after queueing/admission decisions were made.
+  // Wire-level tamper hook (fault injection): invoked on each packet, in its
+  // slot, as it begins serialization, after queueing/admission decisions
+  // were made.
   void set_tamper(std::function<void(Packet&)> tamper) {
     tamper_ = std::move(tamper);
   }
@@ -133,7 +141,7 @@ class Link {
   TimeSec busy_until_ = -1.0;
   std::uint64_t tx_done_seq_ = 0;
   bool tx_done_scheduled_ = false;
-  // Packets serialized but not yet delivered, in transmit order.
+  // Slots of packets serialized but not yet delivered, in transmit order.
   PacketFifo wire_;
   bool up_ = true;
   std::uint64_t bytes_sent_ = 0;

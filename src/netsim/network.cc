@@ -44,14 +44,15 @@ Network::Duplex Network::connect(Node* a, Node* b, BitsPerSec bandwidth,
 
 void Network::build_routes() {
   const std::size_t n = nodes_.size();
-  routes_.assign(hosts_.size(), std::vector<Link*>(n, nullptr));
+  routes_.assign(hosts_.size() * n, nullptr);
+  route_stride_ = n;
 
   // BFS outward from each destination host; an edge u->v discovered while
   // expanding v means u reaches dst via its link to v.
   std::vector<int> dist(n);
   std::deque<int> frontier;
   for (std::size_t h = 0; h < hosts_.size(); ++h) {
-    auto& table = routes_[h];
+    Link** table = routes_.data() + h * n;
     std::fill(dist.begin(), dist.end(), -1);
     frontier.clear();
     const int root = hosts_[h]->id();
@@ -79,9 +80,11 @@ void Network::build_routes() {
 }
 
 Link* Network::next_hop(int node_id, HostAddr dst) const {
-  const std::size_t h = static_cast<std::size_t>(dst) - 1;
-  if (h >= routes_.size()) return nullptr;
-  return routes_[h][static_cast<std::size_t>(node_id)];
+  // dst 0 wraps to a huge index, so one check rejects it and any address
+  // past the last host.
+  const std::size_t i = (static_cast<std::size_t>(dst) - 1) * route_stride_ +
+                        static_cast<std::size_t>(node_id);
+  return i < routes_.size() ? routes_[i] : nullptr;
 }
 
 Host* Network::host_by_addr(HostAddr a) const {

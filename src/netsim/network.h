@@ -55,8 +55,11 @@ class Network {
   // adjacency_[node] = {(neighbor node id, link from node to neighbor)}
   std::vector<std::vector<std::pair<int, Link*>>> adjacency_;
 
-  // routes_[dst_addr - 1][node_id] = next link from node toward dst.
-  std::vector<std::vector<Link*>> routes_;
+  // routes_[(dst_addr - 1) * route_stride_ + node_id] = next link from node
+  // toward dst: one flat table, so a lookup is one bounds check and one load.
+  // The stride is the node count when the routes were built.
+  std::vector<Link*> routes_;
+  std::size_t route_stride_ = 0;
 };
 
 }  // namespace floc

@@ -5,8 +5,8 @@
 
 namespace floc {
 
-void Router::receive(Packet&& p) {
-  Link* next = net_->next_hop(id(), p.dst);
+void Router::receive(PacketRef p) {
+  Link* next = net_->next_hop(id(), p->dst);
   if (next == nullptr) {
     ++unroutable_;
     return;
@@ -14,14 +14,16 @@ void Router::receive(Packet&& p) {
   next->send(std::move(p));
 }
 
-void Host::receive(Packet&& p) {
-  auto it = agents_.find(p.flow);
+void Host::receive(PacketRef p) {
+  auto it = agents_.find(p->flow);
   Agent* a = (it != agents_.end()) ? it->second : default_agent_;
   if (a == nullptr) {
     ++undeliverable_;
     return;
   }
-  a->on_packet(std::move(p));
+  // The agent consumes the packet in its slot; the slot returns to the slab
+  // when `p` dies on return.
+  a->on_packet(std::move(*p));
 }
 
 }  // namespace floc

@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "netsim/packet.h"
+#include "netsim/packet_fifo.h"
 
 namespace floc {
 
@@ -28,7 +29,8 @@ class Node {
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
-  virtual void receive(Packet&& p) = 0;
+  // Take ownership of an arriving packet's slot.
+  virtual void receive(PacketRef p) = 0;
 
   int id() const { return id_; }
   const std::string& name() const { return name_; }
@@ -47,7 +49,8 @@ class Router : public Node {
   Router(Network* net, int id, std::string name, AsNumber as)
       : Node(net, id, std::move(name)), as_(as) {}
 
-  void receive(Packet&& p) override;
+  // Forward the slot to the next hop's link (or release it, unroutable).
+  void receive(PacketRef p) override;
 
   AsNumber as_number() const { return as_; }
   std::uint64_t unroutable() const { return unroutable_; }
@@ -62,7 +65,7 @@ class Host : public Node {
   Host(Network* net, int id, std::string name, HostAddr addr, AsNumber as)
       : Node(net, id, std::move(name)), addr_(addr), as_(as) {}
 
-  void receive(Packet&& p) override;
+  void receive(PacketRef p) override;
 
   // A host forwards received packets to the agent registered for the flow,
   // or to the default agent (servers accept flows they have not seen).

@@ -7,10 +7,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "netsim/packet.h"
+#include "netsim/packet_fifo.h"
 #include "util/units.h"
 
 namespace floc {
@@ -54,11 +54,14 @@ class QueueDisc {
   virtual ~QueueDisc() = default;
 
   // Offer a packet at time `now`; returns true if buffered, false if dropped.
+  // The queue owns `p` either way: an admitted packet's slot is linked into
+  // the queue, a dropped one returns to the slab when `p` dies.
   // Implementations must record every drop through note_drop().
-  virtual bool enqueue(Packet&& p, TimeSec now) = 0;
+  virtual bool enqueue(PacketRef p, TimeSec now) = 0;
 
-  // Next packet to transmit, or nullopt if empty.
-  virtual std::optional<Packet> dequeue(TimeSec now) = 0;
+  // Hand the next packet to transmit (its slot) to the caller, or an empty
+  // ref if the queue is empty.
+  virtual PacketRef dequeue(TimeSec now) = 0;
 
   virtual bool empty() const = 0;
   virtual std::size_t packet_count() const = 0;

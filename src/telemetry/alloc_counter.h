@@ -31,16 +31,13 @@ struct AllocCounters {
 
 AllocCounters& alloc_counters();
 
-// Called from the FLOC_DEFINE_COUNTING_ALLOCATOR operator replacements.
-inline void note_alloc(std::size_t bytes) {
-  AllocCounters& c = alloc_counters();
-  c.allocs.fetch_add(1, std::memory_order_relaxed);
-  c.bytes.fetch_add(bytes, std::memory_order_relaxed);
-}
-
-inline void note_free() {
-  alloc_counters().frees.fetch_add(1, std::memory_order_relaxed);
-}
+// The counted malloc/free pair behind the FLOC_DEFINE_COUNTING_ALLOCATOR
+// operator replacements: count, then malloc (null on failure) or free (a
+// null `p` is a no-op). Out of line on purpose: with the malloc and the free
+// inside one TU's inlined operator new/delete, GCC pairs them and warns
+// -Wmismatched-new-delete.
+void* counted_malloc(std::size_t bytes);
+void counted_free(void* p) noexcept;
 
 // Snapshot-delta guard: construct before the measured region, read deltas
 // after. No heap use of its own.
@@ -78,14 +75,12 @@ class ScopedAllocCount {
 // inline, hence a macro rather than a header definition.)
 #define FLOC_DEFINE_COUNTING_ALLOCATOR                                   \
   void* operator new(std::size_t n) {                                    \
-    ::floc::telemetry::note_alloc(n);                                    \
-    if (void* p = std::malloc(n ? n : 1)) return p;                      \
+    if (void* p = ::floc::telemetry::counted_malloc(n)) return p;        \
     throw std::bad_alloc();                                              \
   }                                                                      \
   void operator delete(void* p) noexcept {                               \
-    if (p != nullptr) {                                                  \
-      ::floc::telemetry::note_free();                                    \
-      std::free(p);                                                      \
-    }                                                                    \
+    ::floc::telemetry::counted_free(p);                                  \
   }                                                                      \
-  void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
+  void operator delete(void* p, std::size_t) noexcept {                  \
+    ::floc::telemetry::counted_free(p);                                  \
+  }

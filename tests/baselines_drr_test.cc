@@ -24,7 +24,7 @@ DrrConfig small_cfg() {
 
 TEST(DrrQueue, EmptyDequeue) {
   DrrQueue q(small_cfg());
-  EXPECT_FALSE(q.dequeue(0.0).has_value());
+  EXPECT_FALSE(q.dequeue(0.0));
   EXPECT_TRUE(q.empty());
 }
 
@@ -37,7 +37,7 @@ TEST(DrrQueue, SingleFlowFifo) {
   }
   for (int i = 0; i < 5; ++i) {
     auto out = q.dequeue(0.0);
-    ASSERT_TRUE(out.has_value());
+    ASSERT_TRUE(out);
     EXPECT_EQ(out->seq, static_cast<std::uint64_t>(i));
   }
 }
@@ -77,7 +77,7 @@ TEST(DrrQueue, SmallPacketsShareByBytesNotPackets) {
   std::map<FlowId, int> bytes;
   for (int i = 0; i < 20; ++i) {
     auto p = q.dequeue(0.0);
-    ASSERT_TRUE(p.has_value());
+    ASSERT_TRUE(p);
     bytes[p->flow] += p->size_bytes;
   }
   EXPECT_NEAR(bytes[1], bytes[2], 1600);

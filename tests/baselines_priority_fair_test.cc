@@ -44,7 +44,7 @@ TEST(PriorityFairQueue, LegitServicedBeforeAttackExcess) {
   int position = -1;
   for (int i = 0; i <= kFlood; ++i) {
     auto out = q.dequeue(t + 0.003);
-    ASSERT_TRUE(out.has_value());
+    ASSERT_TRUE(out);
     if (out->flow == 1) {
       position = i;
       break;
@@ -82,7 +82,7 @@ TEST(PriorityFairQueue, HighPriorityEvictsLowOnOverflow) {
 
 TEST(PriorityFairQueue, EmptyDequeue) {
   PriorityFairQueue q(small_cfg(), [](FlowId) { return true; });
-  EXPECT_FALSE(q.dequeue(0.0).has_value());
+  EXPECT_FALSE(q.dequeue(0.0));
 }
 
 TEST(PriorityFairQueue, CountsBytes) {

@@ -51,7 +51,7 @@ TEST(RedQueue, DequeueFifo) {
   q.enqueue(pkt(2), 0.0);
   EXPECT_EQ(q.dequeue(0.0)->flow, 1u);
   EXPECT_EQ(q.dequeue(0.0)->flow, 2u);
-  EXPECT_FALSE(q.dequeue(0.0).has_value());
+  EXPECT_FALSE(q.dequeue(0.0));
 }
 
 TEST(RedQueue, AvgDecaysWhenIdle) {

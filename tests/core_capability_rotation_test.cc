@@ -83,7 +83,7 @@ CapabilityIssuer::Caps syn_caps(FlocQueue& q, TimeSec now) {
   s.size_bytes = 40;
   EXPECT_TRUE(q.enqueue(std::move(s), now));
   auto out = q.dequeue(now);
-  EXPECT_TRUE(out.has_value());
+  EXPECT_TRUE(out);
   return {out->cap0, out->cap1};
 }
 
@@ -102,7 +102,7 @@ TEST(CapabilityRotation, QueueReissuesDuringGraceThenEnforces) {
   EXPECT_EQ(q.cap_reissues(), 1u);
   EXPECT_EQ(q.capability_violations(), 0u);
   auto restamped = q.dequeue(2.05);
-  ASSERT_TRUE(restamped.has_value());
+  ASSERT_TRUE(restamped);
   EXPECT_NE(restamped->cap0, caps.cap0);
   EXPECT_TRUE(q.issuer().verify(*restamped, restamped->path.key()));
 

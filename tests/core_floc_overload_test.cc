@@ -121,7 +121,7 @@ TEST(FlocOverload, ArmedButIdleBudgetsAreBitIdenticalToBaseline) {
     while (next_service <= t) {
       auto pa = qa.dequeue(next_service);
       auto pb = qb.dequeue(next_service);
-      ASSERT_EQ(pa.has_value(), pb.has_value());
+      ASSERT_EQ(static_cast<bool>(pa), static_cast<bool>(pb));
       next_service += 1.0 / 833.0;
     }
   }

@@ -61,7 +61,7 @@ TEST_P(FlocQueueSweep, ConservationAndBounds) {
       ++admitted;
     }
     while (next_service <= t) {
-      if (q.dequeue(next_service).has_value()) ++serviced;
+      if (q.dequeue(next_service)) ++serviced;
       next_service += 1.0 / service_pps;
     }
     // Invariant: the buffer bound is never violated.

@@ -43,7 +43,7 @@ TEST(FlocQueue, FifoOrderPreserved) {
   }
   for (FlowId f = 1; f <= 5; ++f) {
     auto p = q.dequeue(0.01);
-    ASSERT_TRUE(p.has_value());
+    ASSERT_TRUE(p);
     EXPECT_EQ(p->flow, f);
   }
   EXPECT_TRUE(q.empty());
@@ -82,7 +82,7 @@ TEST(FlocQueue, SynReceivesCapability) {
   Packet p = syn(1, PathId::of({1, 2}));
   EXPECT_TRUE(q.enqueue(std::move(p), 0.0));
   auto out = q.dequeue(0.0);
-  ASSERT_TRUE(out.has_value());
+  ASSERT_TRUE(out);
   EXPECT_NE(out->cap0, 0u);
   EXPECT_NE(out->cap1, 0u);
   EXPECT_TRUE(q.issuer().verify(*out, out->path.key()));

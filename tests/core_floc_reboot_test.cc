@@ -97,7 +97,7 @@ TEST(FlocReboot, PreserveQueueKeepsBufferedPackets) {
   std::string why;
   EXPECT_TRUE(q.audit(1.0, &why)) << why;
   // The surviving packets still drain normally.
-  for (std::size_t i = 0; i < pkts; ++i) EXPECT_TRUE(q.dequeue(1.1).has_value());
+  for (std::size_t i = 0; i < pkts; ++i) EXPECT_TRUE(q.dequeue(1.1));
   EXPECT_TRUE(q.empty());
 }
 

@@ -51,7 +51,7 @@ TEST(SynFlood, CapabilitiesStillIssuedUnderLoad) {
     q.enqueue(syn(static_cast<FlowId>(i), static_cast<HostAddr>(i + 1), path),
               i * 1e-3);
     auto out = q.dequeue(i * 1e-3);
-    if (out.has_value()) {
+    if (out) {
       ++serviced;
       if (out->cap0 != 0) ++with_caps;
     }

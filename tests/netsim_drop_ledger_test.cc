@@ -69,7 +69,7 @@ class Driver {
   void serve_until(TimeSec t) {
     if (next_service_ < 0.0) next_service_ = t;
     while (next_service_ <= t) {
-      if (std::optional<Packet> p = q_.dequeue(next_service_)) {
+      if (PacketRef p = q_.dequeue(next_service_)) {
         tracer_.end(p->span.span, next_service_);
       }
       next_service_ += 1.0 / kServicePps;

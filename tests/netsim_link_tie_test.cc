@@ -31,8 +31,8 @@ static_assert(transmission_time(kBytes, kRate) == kTx);
 // Records each arrival's time and sequence number.
 struct Sink : Node {
   Sink() : Node(nullptr, 2, "sink") {}
-  void receive(Packet&& p) override {
-    at.push_back(p.seq);
+  void receive(PacketRef p) override {
+    at.push_back(p->seq);
     times.push_back(now());
   }
   TimeSec now() const { return sim->now(); }
@@ -45,7 +45,7 @@ struct Sink : Node {
 // right after the hand-off.
 struct Relay : Node {
   Relay() : Node(nullptr, 1, "relay") {}
-  void receive(Packet&& p) override {
+  void receive(PacketRef p) override {
     out->send(std::move(p));
     queued.push_back(out->queue().packet_count());
   }

@@ -73,6 +73,25 @@ TEST(Network, UnroutableReturnsNull) {
   EXPECT_EQ(net.next_hop(a->id(), b->addr()), nullptr);
 }
 
+TEST(Network, NextHopRejectsAddressesOutsideTheHostRange) {
+  Simulator sim;
+  Network net(&sim);
+  Host* a = net.add_host("a", 1);
+  Router* r = net.add_router("r", 2);
+  Host* b = net.add_host("b", 3);
+  net.connect(a, r, mbps(10), 0.001);
+  net.connect(r, b, mbps(10), 0.001);
+  net.build_routes();
+  ASSERT_NE(net.next_hop(r->id(), b->addr()), nullptr);
+  // Address 0 is no host; neither is anything past the last one.
+  for (const Node* n : {static_cast<const Node*>(a), static_cast<const Node*>(r),
+                        static_cast<const Node*>(b)}) {
+    EXPECT_EQ(net.next_hop(n->id(), 0), nullptr);
+    EXPECT_EQ(net.next_hop(n->id(), b->addr() + 1), nullptr);
+    EXPECT_EQ(net.next_hop(n->id(), 0xffffffffu), nullptr);
+  }
+}
+
 TEST(Network, HostByAddr) {
   Simulator sim;
   Network net(&sim);

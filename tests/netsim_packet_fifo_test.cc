@@ -1,14 +1,24 @@
-// PacketFifo and its per-thread slab: FIFO order, tail shed, clear, byte
-// totals, iteration, and slot recycling across queues. Lives in the
+// PacketFifo, PacketRef and the per-thread slab: FIFO order, tail shed,
+// clear, byte totals, iteration, slot recycling across queues, and slot
+// lifetime (one slot per packet from send to sink; every slot back in the
+// slab once the worlds that used it are gone). Lives in the
 // floc_fastpath_test binary so the recycling tests can also assert, with the
 // counting allocator, that reused slots never touch the heap.
 #include "netsim/packet_fifo.h"
 
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
+#include "core/floc_queue.h"
+#include "netsim/network.h"
 #include "telemetry/alloc_counter.h"
+#include "topology/tree_scenario.h"
 
 namespace floc {
 namespace {
@@ -165,6 +175,152 @@ TEST(PacketFifo, SlabGrowsOnlyAtANewHighWaterMark) {
   }
   EXPECT_EQ(guard.allocs(), 0u);
   EXPECT_EQ(slab.capacity(), cap);
+}
+
+TEST(PacketRef, MovedFromRefIsEmptyAndReleasesNothing) {
+  PacketSlab& slab = PacketSlab::local();
+  PacketRef a = pkt(5);
+  const std::size_t free_held = slab.free_slots();
+  PacketRef b = std::move(a);
+  EXPECT_FALSE(a);
+  ASSERT_TRUE(b);
+  EXPECT_EQ(b->seq, 5u);
+  a.reset();  // empty: nothing to release
+  EXPECT_EQ(slab.free_slots(), free_held);
+
+  // Move assignment releases the target's old slot and empties the source.
+  PacketRef c = pkt(6);
+  EXPECT_EQ(slab.free_slots(), free_held - 1);
+  c = std::move(b);
+  EXPECT_FALSE(b);
+  EXPECT_EQ(c->seq, 5u);
+  EXPECT_EQ(slab.free_slots(), free_held);
+
+  { PacketRef d = std::move(c); }  // the last owner dies: the slot returns
+  EXPECT_FALSE(c);
+  EXPECT_EQ(slab.free_slots(), free_held + 1);
+}
+
+TEST(PacketRef, FifoHandsOnTheSameSlot) {
+  PacketFifo q;
+  PacketRef r = pkt(3, 700);
+  const Packet* slot = &*r;
+  q.push_back(std::move(r));
+  EXPECT_FALSE(r);
+  EXPECT_EQ(&q.front(), slot);
+  EXPECT_EQ(q.bytes(), 700u);
+  PacketRef out = q.pop_front();
+  EXPECT_EQ(&*out, slot);
+  EXPECT_EQ(out->seq, 3u);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.bytes(), 0u);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(PacketRef, ReleasedSlotIsPoisoned) {
+  PacketRef r = pkt(1);
+  const Packet* slot = &*r;
+  EXPECT_FALSE(__asan_address_is_poisoned(slot));
+  r.reset();
+  EXPECT_TRUE(__asan_address_is_poisoned(slot));
+  EXPECT_TRUE(__asan_address_is_poisoned(&slot->sent_time));
+  PacketRef again = pkt(2);  // the free list is LIFO: the same slot
+  ASSERT_EQ(&*again, slot);
+  EXPECT_FALSE(__asan_address_is_poisoned(&slot->sent_time));
+}
+#endif
+
+struct AddressSink : Agent {
+  const Packet* at = nullptr;
+  std::uint64_t seq = 0;
+  void on_packet(Packet&& p) override {
+    at = &p;
+    seq = p.seq;
+  }
+};
+
+TEST(PacketSlotLifetime, OnePacketKeepsOneSlotAcrossEveryHop) {
+  PacketSlab& slab = PacketSlab::local();
+  Simulator sim;
+  Network net(&sim);
+  Host* a = net.add_host("a", 1);
+  Router* r1 = net.add_router("r1", 2);
+  Router* r2 = net.add_router("r2", 3);
+  Host* b = net.add_host("b", 4);
+  Link* const hops[] = {net.connect(a, r1, mbps(10), 0.001).ab,
+                        net.connect(r1, r2, mbps(10), 0.001).ab,
+                        net.connect(r2, b, mbps(10), 0.001).ab};
+  net.build_routes();
+  // Each hop's tamper hook records the address of the packet it starts to
+  // serialize.
+  std::vector<const Packet*> seen;
+  for (Link* l : hops) l->set_tamper([&seen](Packet& q) { seen.push_back(&q); });
+  AddressSink sink;
+  b->set_default_agent(&sink);
+
+  Packet p = pkt(42, 1000);
+  p.dst = b->addr();
+  ASSERT_EQ(slab.free_slots(), slab.capacity());
+  net.next_hop(a->id(), b->addr())->send(p);
+  sim.run();
+
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen[1], seen[0]);
+  EXPECT_EQ(seen[2], seen[0]);
+  EXPECT_EQ(sink.at, seen[0]);  // the agent reads the packet in place
+  EXPECT_EQ(sink.seq, 42u);
+  // The sink consumed the packet, so its slot is back on the free list.
+  EXPECT_EQ(slab.free_slots(), slab.capacity());
+}
+
+// The Fig. 5 tree at the scenario benches' quick scale, cut short while
+// queues and wires still hold packets.
+TreeScenarioConfig short_floc_cbr() {
+  TreeScenarioConfig cfg;
+  cfg.scale = 0.08;
+  cfg.legit_start_spread = 2.0;
+  cfg.attack_start = 2.0;
+  cfg.duration = 5.0;
+  cfg.measure_start = 3.0;
+  cfg.measure_end = 5.0;
+  cfg.seed = 11;
+  cfg.scheme = DefenseScheme::kFloc;
+  cfg.attack = AttackType::kCbr;
+  return cfg;
+}
+
+TEST(PacketSlotLifetime, NoDropPathLeaksASlot) {
+  PacketSlab& slab = PacketSlab::local();
+  ASSERT_EQ(slab.free_slots(), slab.capacity());
+  {
+    TreeScenario s(short_floc_cbr());
+    s.run();
+    EXPECT_GT(s.bottleneck_queue().drops(), 0u);
+    EXPECT_LT(slab.free_slots(), slab.capacity());  // packets still in flight
+  }
+  EXPECT_EQ(slab.free_slots(), slab.capacity());
+
+  // Drain a downed target link, then reboot FLoc with a flushed queue.
+  {
+    TreeScenario s(short_floc_cbr());
+    Link* target = s.target_link();
+    FlocQueue* floc = s.floc_queue();
+    ASSERT_NE(floc, nullptr);
+    std::size_t flushed = 0;
+    s.sim().schedule_at(3.0, [target] {
+      target->set_up(false, Link::DownQueuePolicy::kDrain);
+    });
+    s.sim().schedule_at(3.2, [target] { target->set_up(true); });
+    s.sim().schedule_at(4.25, [&s, floc, &flushed] {
+      flushed = floc->packet_count();
+      floc->reboot(s.sim().now(), /*preserve_queue=*/false);
+    });
+    s.run();
+    EXPECT_GT(target->down_drops(), 0u);
+    EXPECT_GT(flushed, 0u);
+    EXPECT_EQ(floc->reboots(), 1u);
+  }
+  EXPECT_EQ(slab.free_slots(), slab.capacity());
 }
 
 }  // namespace

@@ -89,7 +89,7 @@ TEST_P(QueueFuzz, InvariantsUnderRandomTraffic) {
       }
     } else {
       auto out = q->dequeue(t);
-      if (out.has_value()) {
+      if (out) {
         ++serviced;
         serviced_bytes += static_cast<std::uint64_t>(out->size_bytes);
       }
@@ -172,7 +172,7 @@ TEST_P(QueueFuzz, ModeTransitionInterleavings) {
         }
       } else {
         auto out = q->dequeue(t);
-        if (out.has_value()) {
+        if (out) {
           ++serviced;
           serviced_bytes += static_cast<std::uint64_t>(out->size_bytes);
         }
@@ -275,7 +275,7 @@ TEST_P(QueueFuzz, HardenedLatchReleaseCycles) {
   };
   auto service = [&] {
     auto out = q->dequeue(t);
-    if (out.has_value()) {
+    if (out) {
       ++serviced;
       serviced_bytes += static_cast<std::uint64_t>(out->size_bytes);
     }
@@ -410,7 +410,7 @@ TEST_P(QueueFuzz, StateChurnBoundedTables) {
     }
     if (i % 3 == 0) {
       auto out = q->dequeue(t);
-      if (out.has_value()) {
+      if (out) {
         ++serviced;
         serviced_bytes += static_cast<std::uint64_t>(out->size_bytes);
       }
@@ -507,7 +507,7 @@ EngineRun run_mode_transition_world(const FuzzCase& fc, Engine engine) {
       }
     } else {
       auto out = q->dequeue(t);
-      if (out.has_value()) {
+      if (out) {
         ++r.serviced;
         r.serviced_bytes += static_cast<std::uint64_t>(out->size_bytes);
       }

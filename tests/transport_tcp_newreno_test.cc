@@ -20,7 +20,8 @@ class LossInjectQueue : public QueueDisc {
   LossInjectQueue(std::size_t capacity, std::set<std::uint64_t> losses)
       : capacity_(capacity), to_drop_(std::move(losses)) {}
 
-  bool enqueue(Packet&& p, TimeSec now) override {
+  bool enqueue(PacketRef ref, TimeSec now) override {
+    const Packet& p = *ref;
     if (p.type == PacketType::kData) {
       auto it = to_drop_.find(p.seq);
       if (it != to_drop_.end()) {
@@ -33,27 +34,22 @@ class LossInjectQueue : public QueueDisc {
       note_drop(p, DropReason::kQueueFull, now);
       return false;
     }
-    bytes_ += static_cast<std::size_t>(p.size_bytes);
-    q_.push_back(std::move(p));
+    q_.push_back(std::move(ref));
     note_admit();
     return true;
   }
-  std::optional<Packet> dequeue(TimeSec) override {
-    if (q_.empty()) return std::nullopt;
-    Packet p = std::move(q_.front());
-    q_.pop_front();
-    bytes_ -= static_cast<std::size_t>(p.size_bytes);
-    return p;
+  PacketRef dequeue(TimeSec) override {
+    if (q_.empty()) return {};
+    return q_.pop_front();
   }
   bool empty() const override { return q_.empty(); }
   std::size_t packet_count() const override { return q_.size(); }
-  std::size_t byte_count() const override { return bytes_; }
+  std::size_t byte_count() const override { return q_.bytes(); }
 
  private:
   std::size_t capacity_;
   std::set<std::uint64_t> to_drop_;
-  std::deque<Packet> q_;
-  std::size_t bytes_ = 0;
+  PacketFifo q_;
 };
 
 struct World {
