@@ -239,16 +239,15 @@ class RunManifest {
   std::vector<std::string> artifacts_;
 };
 
-// Final values of a metric registry in registration order, through its
-// scalar view (histograms export their count). Taken inside a run, while
-// the world its gauges read is still alive.
+// Final values of a metric registry in registration order. Taken inside a
+// run, while the world its gauges read is still alive.
 using MetricSnapshot = std::vector<std::pair<std::string, double>>;
 
 inline MetricSnapshot snapshot(const telemetry::MetricRegistry& reg) {
   MetricSnapshot out;
   out.reserve(reg.metrics().size());
   for (const auto& m : reg.metrics()) {
-    out.emplace_back(m->name, reg.value(m->name));
+    out.emplace_back(m.name, m.read());
   }
   return out;
 }

@@ -62,7 +62,7 @@ void Simulator::fire(EventNode* n) {
 }
 
 void Simulator::dispatch(Callback& cb) {
-  if (profile_ns_ == nullptr && profile_section_ == nullptr) {
+  if (profile_section_ == nullptr) {
     cb();
     return;
   }
@@ -71,8 +71,7 @@ void Simulator::dispatch(Callback& cb) {
   const auto dt = std::chrono::steady_clock::now() - t0;
   const auto ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count());
-  if (profile_ns_ != nullptr) profile_ns_->observe(static_cast<double>(ns));
-  if (profile_section_ != nullptr) profile_section_->record(ns);
+  profile_section_->record(ns);
 }
 
 void Simulator::run_until(TimeSec t_end) {

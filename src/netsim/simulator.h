@@ -11,11 +11,10 @@
 // (tests/heap_event_queue.h) and prove, by differential fuzzing, that the
 // wheel fires events in the same order.
 //
-// Observability: set_profiler() attaches a steady-clock hook that records the
-// wall-clock nanoseconds spent inside each event callback into a telemetry
-// histogram (p50/p99 per-event processing cost); register_metrics() publishes
-// the scheduler counters as polled gauges. Both are off (and free) by
-// default — the run loop pays one pointer-null test per event.
+// Observability: set_profile_section() attributes the wall-clock nanoseconds
+// spent inside each event callback to a Profiler section; register_metrics()
+// publishes the scheduler counters as polled gauges. Both are off (and free)
+// by default — the run loop pays one pointer-null test per event.
 #pragma once
 
 #include <cassert>
@@ -115,13 +114,9 @@ class Simulator {
   // Pending (scheduled, not yet fired, not cancelled) events.
   std::size_t pending_events() const { return live_; }
 
-  // Record wall-clock nanoseconds per event callback into `event_ns`
-  // (steady clock; measurement only — simulated time is unaffected).
-  // nullptr detaches.
-  void set_profiler(telemetry::LogHistogram* event_ns) { profile_ns_ = event_ns; }
-
   // Attribute event-dispatch wall time to a Profiler section (e.g.
-  // "sim.dispatch"); composes with set_profiler(). nullptr detaches.
+  // "sim.dispatch"; steady clock, measurement only — simulated time is
+  // unaffected). nullptr detaches.
   void set_profile_section(telemetry::Profiler::Section* section) {
     profile_section_ = section;
   }
@@ -162,7 +157,6 @@ class Simulator {
   std::uint64_t late_ = 0;
   std::uint64_t cancelled_ = 0;
   std::size_t live_ = 0;
-  telemetry::LogHistogram* profile_ns_ = nullptr;
   telemetry::Profiler::Section* profile_section_ = nullptr;
   // The arena outlives the queue member below only by declaration order;
   // neither touches the other on destruction (pending callbacks are

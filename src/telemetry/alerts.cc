@@ -103,12 +103,6 @@ bool AlertEngine::firing(const std::string& rule) const {
   return false;
 }
 
-std::size_t AlertEngine::firing_count() const {
-  std::size_t n = 0;
-  for (const RuleState& rs : rules_) n += rs.firing ? 1 : 0;
-  return n;
-}
-
 std::uint64_t AlertEngine::fired(const std::string& rule) const {
   for (const RuleState& rs : rules_) {
     if (rs.rule.name == rule) return rs.fire_edges;
@@ -185,58 +179,23 @@ std::string prom_label_escape(const std::string& s) {
   return out;
 }
 
-// Exposition-format block for one sample: `# HELP` first, then `# TYPE`,
-// then the sample line, per the Prometheus text-format grammar. The help
-// string carries the original dotted registry name so operators can map an
-// exported series back to its in-process metric.
-void append_sample(std::string& out, const std::string& name,
-                   const char* type, double value, const std::string& help) {
-  char buf[64];
-  out += "# HELP " + name + " " + help + "\n";
-  out += "# TYPE " + name + " " + type + "\n";
-  std::snprintf(buf, sizeof(buf), " %.9g\n", value);
-  out += name;
-  out += buf;
-}
-
 }  // namespace
 
 std::string AlertEngine::render_prometheus(const MetricRegistry& reg) {
   std::string out;
   out.reserve(reg.size() * 64);
+  char buf[64];
   for (const auto& m : reg.metrics()) {
-    const std::string name = prom_name(m->name);
-    const std::string src = "FLoc metric " + m->name;
-    switch (m->kind) {
-      case MetricKind::kCounter: {
-        // Counters get the conventional `_total` suffix — unless the dotted
-        // name already carries one (floc.drops.total), which must not double.
-        const bool suffixed =
-            name.size() >= 6 &&
-            name.compare(name.size() - 6, 6, "_total") == 0;
-        append_sample(out, suffixed ? name : name + "_total", "counter",
-                      static_cast<double>(m->counter->value()), src);
-        break;
-      }
-      case MetricKind::kGauge:
-        append_sample(out, name, "gauge", m->gauge->value(), src);
-        break;
-      case MetricKind::kGaugeFn:
-        append_sample(out, name, "gauge", m->fn(), src);
-        break;
-      case MetricKind::kHistogram: {
-        append_sample(out, name + "_count", "counter",
-                      static_cast<double>(m->histogram->count()),
-                      src + " (sample count)");
-        append_sample(out, name + "_sum", "counter", m->histogram->sum(),
-                      src + " (sample sum)");
-        append_sample(out, name + "_p50", "gauge",
-                      m->histogram->quantile(0.5), src + " (p50)");
-        append_sample(out, name + "_p99", "gauge",
-                      m->histogram->quantile(0.99), src + " (p99)");
-        break;
-      }
-    }
+    // `# HELP` first, then `# TYPE`, then the sample line, per the
+    // Prometheus text-format grammar. The help string carries the original
+    // dotted registry name so operators can map an exported series back to
+    // its in-process metric.
+    const std::string name = prom_name(m.name);
+    out += "# HELP " + name + " FLoc metric " + m.name + "\n";
+    out += "# TYPE " + name + " gauge\n";
+    std::snprintf(buf, sizeof(buf), " %.9g\n", m.read());
+    out += name;
+    out += buf;
   }
   return out;
 }

@@ -83,7 +83,6 @@ class AlertEngine {
   void sample(TimeSec now);
 
   bool firing(const std::string& rule) const;
-  std::size_t firing_count() const;
   // Fire edges ever observed for `rule` (0 for unknown names).
   std::uint64_t fired(const std::string& rule) const;
   std::uint64_t fired_total() const;
@@ -97,10 +96,9 @@ class AlertEngine {
   // failure.
   bool save(const std::string& path, std::string* err = nullptr) const;
 
-  // Prometheus text exposition of every scalar metric in `reg` (dots and
-  // other illegal characters become '_'; histograms expose _count, _sum and
-  // p50/p99 quantile series). Stand-alone so benches can scrape-export a
-  // registry without constructing an engine.
+  // Prometheus text exposition of every metric in `reg` as a gauge (dots
+  // and other illegal characters become '_'). Stand-alone so benches can
+  // scrape-export a registry without constructing an engine.
   static std::string render_prometheus(const MetricRegistry& reg);
   // render_prometheus(registry) plus one floc_alert_firing{alert="..."}
   // series per rule.

@@ -8,26 +8,6 @@
 
 namespace floc::telemetry {
 
-namespace {
-
-// Scalar value of one metric, matching MetricRegistry::value() semantics
-// (histograms report their count) without the name lookup.
-double scalar_of(const MetricRegistry::Metric& m) {
-  switch (m.kind) {
-    case MetricKind::kCounter:
-      return static_cast<double>(m.counter->value());
-    case MetricKind::kGauge:
-      return m.gauge->value();
-    case MetricKind::kGaugeFn:
-      return m.fn ? m.fn() : 0.0;
-    case MetricKind::kHistogram:
-      return static_cast<double>(m.histogram->count());
-  }
-  return 0.0;
-}
-
-}  // namespace
-
 FlightRecorder::FlightRecorder(const MetricRegistry* registry)
     : FlightRecorder(registry, Config()) {}
 
@@ -44,7 +24,7 @@ void FlightRecorder::sample(TimeSec now) {
   if (registry_ != nullptr) {
     const auto& ms = registry_->metrics();
     row.values.reserve(ms.size());
-    for (const auto& m : ms) row.values.push_back(scalar_of(*m));
+    for (const auto& m : ms) row.values.push_back(m.read());
   }
   ring_.push_back(std::move(row));
   while (ring_.size() > cfg_.metric_ring) ring_.pop_front();
@@ -80,8 +60,8 @@ const IncidentBundle* FlightRecorder::capture(const IncidentTrigger& trig) {
     b.metrics.reserve(ms.size());
     for (std::size_t i = 0; i < ms.size(); ++i) {
       MetricDelta d;
-      d.name = ms[i]->name;
-      d.value = scalar_of(*ms[i]);
+      d.name = ms[i].name;
+      d.value = ms[i].read();
       // Metrics registered after a row was sampled have no column there.
       if (s != nullptr && i < s->values.size()) {
         d.have_short = true;

@@ -1,150 +1,26 @@
 #include "telemetry/metrics.h"
 
-#include <algorithm>
-#include <cassert>
-#include <cmath>
-
 namespace floc::telemetry {
-
-const char* to_string(MetricKind k) {
-  switch (k) {
-    case MetricKind::kCounter: return "counter";
-    case MetricKind::kGauge: return "gauge";
-    case MetricKind::kGaugeFn: return "gauge";
-    case MetricKind::kHistogram: return "histogram";
-  }
-  return "?";
-}
-
-// --- LogHistogram -----------------------------------------------------------
-
-LogHistogram::LogHistogram(double relative_error, double min_value)
-    : eps_(std::clamp(relative_error, 1e-6, 0.5)), min_value_(min_value) {
-  gamma_ = (1.0 + eps_) / (1.0 - eps_);
-  inv_log_gamma_ = 1.0 / std::log(gamma_);
-  midpoint_factor_ = 2.0 * gamma_ / (gamma_ + 1.0);
-}
-
-int LogHistogram::bucket_index(double v) const {
-  return static_cast<int>(std::ceil(std::log(v) * inv_log_gamma_));
-}
-
-double LogHistogram::bucket_value(int index) const {
-  // Midpoint of (gamma^(i-1), gamma^i]: within eps of anything in the bucket.
-  return std::pow(gamma_, index - 1) * midpoint_factor_;
-}
-
-void LogHistogram::observe(double v) {
-  ++count_;
-  sum_ += v;
-  if (count_ == 1) {
-    min_ = max_ = v;
-  } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
-  if (!(v >= min_value_)) {  // negatives and NaN also land here
-    ++zero_count_;
-    return;
-  }
-  const int idx = bucket_index(v);
-  if (counts_.empty()) {
-    offset_ = idx;
-    counts_.push_back(0);
-  } else if (idx < offset_) {
-    counts_.insert(counts_.begin(), static_cast<std::size_t>(offset_ - idx), 0);
-    offset_ = idx;
-  } else if (idx >= offset_ + static_cast<int>(counts_.size())) {
-    counts_.resize(static_cast<std::size_t>(idx - offset_) + 1, 0);
-  }
-  ++counts_[static_cast<std::size_t>(idx - offset_)];
-}
-
-double LogHistogram::quantile(double q) const {
-  if (count_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  // Zero-based rank of the order statistic we are after.
-  const std::uint64_t rank = static_cast<std::uint64_t>(
-      q * static_cast<double>(count_ - 1) + 0.5);
-  if (rank < zero_count_) return 0.0;
-  std::uint64_t seen = zero_count_;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    seen += counts_[i];
-    if (rank < seen) return bucket_value(offset_ + static_cast<int>(i));
-  }
-  return max_;  // unreachable unless counts drifted; be safe
-}
-
-void LogHistogram::reset() {
-  zero_count_ = 0;
-  offset_ = 0;
-  counts_.clear();
-  count_ = 0;
-  sum_ = min_ = max_ = 0.0;
-}
-
-// --- MetricRegistry ---------------------------------------------------------
-
-MetricRegistry::Metric* MetricRegistry::get_or_create(const std::string& name,
-                                                      MetricKind kind) {
-  auto it = index_.find(name);
-  if (it != index_.end()) {
-    Metric* m = metrics_[it->second].get();
-    assert(m->kind == kind && "metric re-registered under a different kind");
-    return m;
-  }
-  auto m = std::make_unique<Metric>();
-  m->name = name;
-  m->kind = kind;
-  Metric* raw = m.get();
-  index_.emplace(name, metrics_.size());
-  metrics_.push_back(std::move(m));
-  return raw;
-}
-
-Counter* MetricRegistry::counter(const std::string& name) {
-  Metric* m = get_or_create(name, MetricKind::kCounter);
-  if (!m->counter) m->counter = std::make_unique<Counter>();
-  return m->counter.get();
-}
-
-Gauge* MetricRegistry::gauge(const std::string& name) {
-  Metric* m = get_or_create(name, MetricKind::kGauge);
-  if (!m->gauge) m->gauge = std::make_unique<Gauge>();
-  return m->gauge.get();
-}
 
 void MetricRegistry::gauge_fn(const std::string& name,
                               std::function<double()> fn) {
-  Metric* m = get_or_create(name, MetricKind::kGaugeFn);
-  m->fn = std::move(fn);
-}
-
-LogHistogram* MetricRegistry::histogram(const std::string& name,
-                                        double relative_error) {
-  Metric* m = get_or_create(name, MetricKind::kHistogram);
-  if (!m->histogram)
-    m->histogram = std::make_unique<LogHistogram>(relative_error);
-  return m->histogram.get();
+  const auto [it, inserted] = index_.emplace(name, metrics_.size());
+  if (inserted) {
+    metrics_.push_back(Metric{name, std::move(fn)});
+  } else {
+    metrics_[it->second].fn = std::move(fn);
+  }
 }
 
 const MetricRegistry::Metric* MetricRegistry::find(
     const std::string& name) const {
   auto it = index_.find(name);
-  return it == index_.end() ? nullptr : metrics_[it->second].get();
+  return it == index_.end() ? nullptr : &metrics_[it->second];
 }
 
 double MetricRegistry::value(const std::string& name) const {
   const Metric* m = find(name);
-  if (m == nullptr) return 0.0;
-  switch (m->kind) {
-    case MetricKind::kCounter: return static_cast<double>(m->counter->value());
-    case MetricKind::kGauge: return m->gauge->value();
-    case MetricKind::kGaugeFn: return m->fn ? m->fn() : 0.0;
-    case MetricKind::kHistogram:
-      return static_cast<double>(m->histogram->count());
-  }
-  return 0.0;
+  return m != nullptr ? m->read() : 0.0;
 }
 
 }  // namespace floc::telemetry

@@ -1,139 +1,55 @@
-// Metric primitives and the MetricRegistry: the naming/ownership layer every
-// simulator component publishes its numbers through.
+// The MetricRegistry: the naming layer every simulator component publishes
+// its numbers through.
 //
 // Design constraints (see docs/INTERNALS.md, "Observability"):
-//  * hot paths pay a single pointer-null test when telemetry is off — all
-//    metric handles are plain pointers into the registry, no virtual calls;
-//  * polled gauges (gauge_fn) cost *nothing* on the hot path: the component
-//    exposes an accessor and the TimeSeriesSampler evaluates it at sample
-//    time, so instrumenting an existing counter never duplicates its state;
-//  * histograms are log-bucketed (DDSketch-style) with a configurable bound
-//    on the relative error of any reported quantile, so p50/p90/p99/p999 of
-//    values spanning nanoseconds to seconds stay cheap and accurate.
+//  * every metric is a polled gauge (gauge_fn): the component exposes an
+//    accessor and the TimeSeriesSampler, FlightRecorder or Prometheus export
+//    evaluates it at sample time, so instrumenting an existing counter never
+//    duplicates its state and costs *nothing* on the hot path;
+//  * the figures report bandwidth shares, means and CDFs, never latency
+//    quantiles, so the registry carries no histogram kind.
 //
 // Metric names are hierarchical dotted strings, lowercase, with the component
 // instance first: "floc.drops.token", "link.target.bytes_sent",
-// "sim.event_ns". Registering the same name twice returns the same handle.
+// "sim.events_processed". Registering the same name twice replaces the
+// callback in place.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "util/units.h"
-
 namespace floc::telemetry {
 
-// Monotonically increasing event count.
-class Counter {
- public:
-  void add(std::uint64_t n = 1) { value_ += n; }
-  std::uint64_t value() const { return value_; }
-  void reset() { value_ = 0; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
-// Last-written instantaneous value.
-class Gauge {
- public:
-  void set(double v) { value_ = v; }
-  double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
-};
-
-// Log-bucketed histogram with bounded relative error (DDSketch-style).
-//
-// Bucket i covers (gamma^(i-1), gamma^i] with gamma = (1+eps)/(1-eps); the
-// bucket midpoint 2*gamma^i/(gamma+1) is within relative error eps of every
-// value in the bucket, so quantile() is eps-accurate for any q. Values below
-// `min_value` (including zero) land in a dedicated zero bucket reported as
-// 0.0. Negative values are clamped to the zero bucket.
-class LogHistogram {
- public:
-  explicit LogHistogram(double relative_error = 0.01,
-                        double min_value = 1e-9);
-
-  void observe(double v);
-
-  std::uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  double mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0.0; }
-  double min() const { return count_ ? min_ : 0.0; }
-  double max() const { return count_ ? max_ : 0.0; }
-  double relative_error() const { return eps_; }
-
-  // Value at quantile q in [0, 1], within `relative_error` of the exact
-  // order statistic. q <= 0 returns ~min, q >= 1 returns ~max.
-  double quantile(double q) const;
-
-  void reset();
-
- private:
-  int bucket_index(double v) const;
-  double bucket_value(int index) const;
-
-  double eps_;
-  double min_value_;
-  double gamma_;
-  double inv_log_gamma_;
-  double midpoint_factor_;  // 2*gamma/(gamma+1), applied to gamma^(i-1)
-
-  std::uint64_t zero_count_ = 0;
-  int offset_ = 0;                     // bucket index of counts_[0]
-  std::vector<std::uint64_t> counts_;  // dense, grown on demand
-
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-enum class MetricKind : std::uint8_t { kCounter, kGauge, kGaugeFn, kHistogram };
-
-const char* to_string(MetricKind k);
-
-// Owns all metrics of one run; components register by name and keep the
-// returned raw pointer (stable for the registry's lifetime).
+// Owns all metrics of one run, in registration order.
 class MetricRegistry {
  public:
   struct Metric {
     std::string name;
-    MetricKind kind;
-    // Exactly one of these is non-null / non-empty, per `kind`.
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
     std::function<double()> fn;
-    std::unique_ptr<LogHistogram> histogram;
+
+    // Current value; an empty callback reads as 0.
+    double read() const { return fn ? fn() : 0.0; }
   };
 
-  Counter* counter(const std::string& name);
-  Gauge* gauge(const std::string& name);
   // Polled gauge: `fn` is evaluated at sample/export time only. Re-registering
   // an existing name replaces the callback (components outlive samplers, but
   // a rebuilt component must be able to re-point its gauge).
   void gauge_fn(const std::string& name, std::function<double()> fn);
-  LogHistogram* histogram(const std::string& name, double relative_error = 0.01);
 
-  // Registration order; stable across the registry's lifetime.
-  const std::vector<std::unique_ptr<Metric>>& metrics() const { return metrics_; }
+  // Registration order; names never move, new metrics append at the tail.
+  const std::vector<Metric>& metrics() const { return metrics_; }
+  // Valid until the next registration.
   const Metric* find(const std::string& name) const;
   std::size_t size() const { return metrics_.size(); }
 
-  // Current value of a scalar metric (counter/gauge/gauge_fn); histograms
-  // report their count. Missing names return 0.
+  // Current value of `name`; missing names (and empty callbacks) return 0.
   double value(const std::string& name) const;
 
  private:
-  Metric* get_or_create(const std::string& name, MetricKind kind);
-
-  std::vector<std::unique_ptr<Metric>> metrics_;
+  std::vector<Metric> metrics_;
   std::unordered_map<std::string, std::size_t> index_;
 };
 

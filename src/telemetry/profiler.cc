@@ -1,8 +1,6 @@
 #include "telemetry/profiler.h"
 
-#include <algorithm>
 #include <chrono>
-#include <cstdio>
 
 namespace floc::telemetry {
 
@@ -13,87 +11,14 @@ std::uint64_t clock_ns() {
           .count());
 }
 
-Profiler::Profiler(MetricRegistry* registry, std::string prefix)
-    : registry_(registry), prefix_(std::move(prefix)) {}
-
 Profiler::Section* Profiler::section(const std::string& name) {
   const auto it = index_.find(name);
   if (it != index_.end()) return sections_[it->second].get();
   auto s = std::make_unique<Section>();
   s->name = name;
-  if (registry_ != nullptr) {
-    s->hist = registry_->histogram(prefix_ + "." + name + ".ns");
-  }
   index_.emplace(name, sections_.size());
   sections_.push_back(std::move(s));
   return sections_.back().get();
-}
-
-std::uint64_t Profiler::total_ns() const {
-  std::uint64_t total = 0;
-  for (const auto& s : sections_) total += s->total_ns;
-  return total;
-}
-
-namespace {
-
-std::string format_ns(double ns) {
-  char buf[32];
-  if (ns >= 1e9) {
-    std::snprintf(buf, sizeof(buf), "%.2fs", ns / 1e9);
-  } else if (ns >= 1e6) {
-    std::snprintf(buf, sizeof(buf), "%.2fms", ns / 1e6);
-  } else if (ns >= 1e3) {
-    std::snprintf(buf, sizeof(buf), "%.2fus", ns / 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.0fns", ns);
-  }
-  return buf;
-}
-
-}  // namespace
-
-std::string Profiler::report() const {
-  std::vector<const Section*> rows;
-  rows.reserve(sections_.size());
-  for (const auto& s : sections_) rows.push_back(s.get());
-  std::stable_sort(rows.begin(), rows.end(),
-                   [](const Section* a, const Section* b) {
-                     return a->total_ns > b->total_ns;
-                   });
-
-  const double total = static_cast<double>(std::max<std::uint64_t>(1, total_ns()));
-  std::string out;
-  char buf[192];
-  std::snprintf(buf, sizeof(buf), "%-28s %12s %10s %6s %9s %9s %9s %9s\n",
-                "section", "calls", "total", "%", "mean", "p50", "p95", "p99");
-  out += buf;
-  for (const Section* s : rows) {
-    const double mean =
-        s->calls ? static_cast<double>(s->total_ns) / static_cast<double>(s->calls) : 0.0;
-    // Percentiles come from the per-section registry histogram; without an
-    // attached registry there is no distribution to quote, only totals.
-    const bool dist = s->hist != nullptr;
-    std::snprintf(buf, sizeof(buf),
-                  "%-28s %12llu %10s %5.1f%% %9s %9s %9s %9s\n",
-                  s->name.c_str(), static_cast<unsigned long long>(s->calls),
-                  format_ns(static_cast<double>(s->total_ns)).c_str(),
-                  100.0 * static_cast<double>(s->total_ns) / total,
-                  format_ns(mean).c_str(),
-                  dist ? format_ns(s->hist->quantile(0.50)).c_str() : "-",
-                  dist ? format_ns(s->hist->quantile(0.95)).c_str() : "-",
-                  dist ? format_ns(s->hist->quantile(0.99)).c_str() : "-");
-    out += buf;
-  }
-  return out;
-}
-
-void Profiler::reset() {
-  for (const auto& s : sections_) {
-    s->calls = 0;
-    s->total_ns = 0;
-    if (s->hist != nullptr) s->hist->reset();
-  }
 }
 
 }  // namespace floc::telemetry

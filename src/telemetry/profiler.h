@@ -8,10 +8,9 @@
 // MetricRegistry: a detached component pays one pointer-null test and zero
 // allocations (pinned by tests/telemetry_fastpath_test.cc).
 //
-// Every section feeds a per-call latency LogHistogram registered in the
-// MetricRegistry as "<prefix>.<name>.ns" (when a registry is attached), so
-// profiler data exports through the same samplers as everything else, and
-// report() prints the human table benches show at exit.
+// Sections are inclusive: a timer opened inside another section's scope also
+// counts toward the outer one. Readers (perf_suite, the scenbench driver)
+// read calls and total_ns off sections() and compute their own splits.
 #pragma once
 
 #include <cstdint>
@@ -19,8 +18,6 @@
 #include <string>
 #include <unordered_map>
 #include <vector>
-
-#include "telemetry/metrics.h"
 
 namespace floc::telemetry {
 
@@ -33,19 +30,12 @@ class Profiler {
     std::string name;
     std::uint64_t calls = 0;
     std::uint64_t total_ns = 0;
-    LogHistogram* hist = nullptr;  // per-call ns; null without a registry
 
     void record(std::uint64_t ns) {
       ++calls;
       total_ns += ns;
-      if (hist != nullptr) hist->observe(static_cast<double>(ns));
     }
   };
-
-  // When `registry` is non-null, each section registers a histogram named
-  // "<prefix>.<section>.ns".
-  explicit Profiler(MetricRegistry* registry = nullptr,
-                    std::string prefix = "prof");
 
   // Get-or-create; the returned pointer is stable for the Profiler's
   // lifetime. Not for hot paths — call once at attach time.
@@ -54,19 +44,8 @@ class Profiler {
   const std::vector<std::unique_ptr<Section>>& sections() const {
     return sections_;
   }
-  std::uint64_t total_ns() const;
-
-  // Human-readable table, one row per section, sorted by total time:
-  //   section  calls  total  %  mean  p50  p99
-  // Percentages are of the profiler-attributed total (sections may nest, so
-  // rows can legitimately sum past 100%).
-  std::string report() const;
-
-  void reset();
 
  private:
-  MetricRegistry* registry_;
-  std::string prefix_;
   std::vector<std::unique_ptr<Section>> sections_;
   std::unordered_map<std::string, std::size_t> index_;
 };

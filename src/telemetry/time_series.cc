@@ -11,19 +11,6 @@ namespace floc::telemetry {
 
 namespace {
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-
-double histogram_column(const LogHistogram& h, int which) {
-  switch (which) {
-    case 0: return static_cast<double>(h.count());
-    case 1: return h.quantile(0.50);
-    case 2: return h.quantile(0.90);
-    case 3: return h.quantile(0.99);
-    case 4: return h.quantile(0.999);
-  }
-  return kNaN;
-}
-
-const char* kHistSuffix[5] = {".count", ".p50", ".p90", ".p99", ".p999"};
 }  // namespace
 
 TimeSeriesSampler::TimeSeriesSampler(MetricRegistry* registry, TimeSec period)
@@ -32,19 +19,9 @@ TimeSeriesSampler::TimeSeriesSampler(MetricRegistry* registry, TimeSec period)
 void TimeSeriesSampler::refresh_columns() {
   // The registry only appends, so existing column indices never move; new
   // metrics extend the column list at the tail.
-  std::size_t expect = 0;
-  for (const auto& m : registry_->metrics()) {
-    expect += m->kind == MetricKind::kHistogram ? 5 : 1;
-  }
-  if (expect == columns_.size()) return;
-  columns_.clear();
-  columns_.reserve(expect);
-  for (const auto& m : registry_->metrics()) {
-    if (m->kind == MetricKind::kHistogram) {
-      for (const char* suffix : kHistSuffix) columns_.push_back(m->name + suffix);
-    } else {
-      columns_.push_back(m->name);
-    }
+  const auto& ms = registry_->metrics();
+  for (std::size_t i = columns_.size(); i < ms.size(); ++i) {
+    columns_.push_back(ms[i].name);
   }
 }
 
@@ -53,21 +30,7 @@ void TimeSeriesSampler::sample(TimeSec now) {
   Row row;
   row.values.reserve(columns_.size());
   for (const auto& m : registry_->metrics()) {
-    switch (m->kind) {
-      case MetricKind::kCounter:
-        row.values.push_back(static_cast<double>(m->counter->value()));
-        break;
-      case MetricKind::kGauge:
-        row.values.push_back(m->gauge->value());
-        break;
-      case MetricKind::kGaugeFn:
-        row.values.push_back(m->fn ? m->fn() : kNaN);
-        break;
-      case MetricKind::kHistogram:
-        for (int i = 0; i < 5; ++i)
-          row.values.push_back(histogram_column(*m->histogram, i));
-        break;
-    }
+    row.values.push_back(m.fn ? m.fn() : kNaN);
   }
   times_.push_back(now);
   rows_.push_back(std::move(row));

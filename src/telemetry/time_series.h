@@ -8,14 +8,15 @@
 // attach time, never accumulated, so long runs stay aligned with simulated
 // time to fp precision.
 //
-// Columns: one per scalar metric (counter / gauge / polled gauge), and for
-// each histogram the derived columns <name>.count, .p50, .p90, .p99, .p999.
-// Metrics registered after sampling started join with NaN backfill for the
-// rows they missed. Counters sample cumulatively; add_rate_column() derives
-// a per-interval rate column "<name>.rate" at export/query time.
+// Columns: one per registered metric (a polled gauge, evaluated at each
+// sample). Metrics registered after sampling started join with NaN backfill
+// for the rows they missed. Cumulative gauges sample cumulatively;
+// add_rate_column() derives a per-interval rate column "<name>.rate" at
+// export/query time.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 

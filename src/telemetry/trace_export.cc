@@ -133,9 +133,4 @@ std::string spans_csv(const Tracer& tracer) {
   return out;
 }
 
-bool write_spans_csv(const Tracer& tracer, const std::string& path,
-                     std::string* err) {
-  return write_text_file(path, spans_csv(tracer), err);
-}
-
 }  // namespace floc::telemetry

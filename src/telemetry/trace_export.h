@@ -40,7 +40,5 @@ bool write_chrome_trace(const Tracer& tracer, const std::string& path,
 
 // Header: trace,span,parent,kind,pid,tid,begin,end,seq,bytes,status,annot
 std::string spans_csv(const Tracer& tracer);
-bool write_spans_csv(const Tracer& tracer, const std::string& path,
-                     std::string* err = nullptr);
 
 }  // namespace floc::telemetry

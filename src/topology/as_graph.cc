@@ -59,10 +59,4 @@ double AsGraph::mean_depth() const {
   return s / static_cast<double>(nodes_.size());
 }
 
-std::string AsGraph::stats_string() const {
-  return "ases=" + std::to_string(size()) +
-         " max_depth=" + std::to_string(max_depth()) +
-         " mean_depth=" + std::to_string(mean_depth());
-}
-
 }  // namespace floc

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "netsim/packet.h"
@@ -41,7 +40,6 @@ class AsGraph {
 
   int max_depth() const;
   double mean_depth() const;
-  std::string stats_string() const;
 
  private:
   std::vector<AsNode> nodes_;

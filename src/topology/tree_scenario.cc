@@ -186,9 +186,6 @@ void TreeScenario::build() {
   }
 
   // --- Sources -------------------------------------------------------------
-  if (cfg_.record_path_series)
-    monitor_.enable_path_series(cfg_.path_series_bucket);
-
   const std::uint64_t legit_pkts =
       (cfg_.legit_file_bytes + kFullPacketBytes - 1) / kFullPacketBytes;
 
@@ -457,12 +454,6 @@ TreeScenario::ClassBandwidth TreeScenario::class_bandwidth() const {
 Cdf TreeScenario::legit_path_flow_cdf() const {
   return monitor_.bandwidth_cdf(FlowMonitor::is_legit_on_legit_path, "start",
                                 "end");
-}
-
-Cdf TreeScenario::legit_flow_cdf() const {
-  return monitor_.bandwidth_cdf(
-      [](const FlowLabel& l) { return l.cls == FlowClass::kLegitimate; },
-      "start", "end");
 }
 
 std::map<std::string, double> TreeScenario::per_path_bps() const {

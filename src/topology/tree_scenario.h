@@ -99,8 +99,7 @@ struct TreeScenarioConfig {
   TimeSec duration = 80.0;
   TimeSec measure_start = 20.0;
   TimeSec measure_end = 80.0;
-  bool record_path_series = false;
-  TimeSec path_series_bucket = 1.0;
+  TimeSec path_series_bucket = 1.0;  // sampler period of Fig. 6's series
   std::uint64_t seed = 1;
 };
 
@@ -128,7 +127,6 @@ class TreeScenario {
   // CDF of per-flow bandwidth of legitimate flows on legitimate paths
   // (Figs. 7 and 9).
   Cdf legit_path_flow_cdf() const;
-  Cdf legit_flow_cdf() const;  // all legitimate flows
 
   // Mean bandwidth per path over the measurement window (Fig. 6).
   std::map<std::string, double> per_path_bps() const;

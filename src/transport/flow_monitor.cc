@@ -16,22 +16,10 @@ const FlowLabel& FlowMonitor::label(FlowId flow) const {
   return labels_[index_.at(flow)];
 }
 
-void FlowMonitor::on_deliver(FlowId flow, TimeSec now, double bytes) {
+void FlowMonitor::on_deliver(FlowId flow, double bytes) {
   const auto it = index_.find(flow);
   if (it == index_.end()) return;  // unlabelled flow: ignore
   cumulative_bytes_[it->second] += bytes;
-  if (series_enabled_) {
-    const FlowLabel& l = labels_[it->second];
-    auto& buckets = path_buckets_[l.path_name];
-    const auto idx = static_cast<std::size_t>(now / bucket_width_);
-    if (buckets.size() <= idx) buckets.resize(idx + 1, 0.0);
-    buckets[idx] += bytes;
-  }
-}
-
-void FlowMonitor::enable_path_series(TimeSec bucket_width) {
-  series_enabled_ = true;
-  bucket_width_ = bucket_width;
 }
 
 void FlowMonitor::snapshot(const std::string& name, TimeSec now) {
@@ -104,21 +92,6 @@ std::map<std::string, double> FlowMonitor::path_bps(
     out[labels_[i].path_name] += (db - da) * 8.0 / dt;
   }
   return out;
-}
-
-std::vector<double> FlowMonitor::path_series_bps(
-    const std::string& path_name) const {
-  std::vector<double> out;
-  const auto it = path_buckets_.find(path_name);
-  if (it == path_buckets_.end()) return out;
-  out.reserve(it->second.size());
-  for (double bytes : it->second) out.push_back(bytes * 8.0 / bucket_width_);
-  return out;
-}
-
-double FlowMonitor::total_bytes(FlowId flow) const {
-  const auto it = index_.find(flow);
-  return it == index_.end() ? 0.0 : cumulative_bytes_[it->second];
 }
 
 double FlowMonitor::class_cumulative_bytes(const FlowPredicate& pred) const {

@@ -4,8 +4,9 @@
 //
 // Measurement model: the monitor keeps a cumulative delivered-byte counter
 // per flow plus named snapshots of all counters; bandwidth over [A, B] is the
-// counter difference between snapshots divided by the elapsed time. It can
-// additionally bucket per-path bytes into a coarse time series (Fig. 6).
+// counter difference between snapshots divided by the elapsed time. Time
+// series (Fig. 6) come from a TimeSeriesSampler polling
+// class_cumulative_bytes().
 #pragma once
 
 #include <cstdint>
@@ -37,10 +38,7 @@ class FlowMonitor {
   const FlowLabel& label(FlowId flow) const;
 
   // Delivery callback (invoked by sinks).
-  void on_deliver(FlowId flow, TimeSec now, double bytes);
-
-  // Optional per-path time series with the given bucket width (seconds).
-  void enable_path_series(TimeSec bucket_width);
+  void on_deliver(FlowId flow, double bytes);
 
   // Capture the cumulative counters under `name` at time `now`.
   void snapshot(const std::string& name, TimeSec now);
@@ -63,11 +61,7 @@ class FlowMonitor {
   std::map<std::string, double> path_bps(const std::string& snap_a,
                                          const std::string& snap_b) const;
 
-  // Per-path series value: mean bps of path `path_name` in bucket i.
-  std::vector<double> path_series_bps(const std::string& path_name) const;
-
   std::size_t flow_count() const { return labels_.size(); }
-  double total_bytes(FlowId flow) const;
 
   // Cumulative delivered bytes over all flows matching `pred` (no snapshots
   // needed) — the natural feed for a telemetry gauge, which a sampler turns
@@ -94,11 +88,6 @@ class FlowMonitor {
   std::vector<FlowLabel> labels_;
   std::vector<double> cumulative_bytes_;
   std::map<std::string, Snapshot> snapshots_;
-
-  // Per-path bucketed byte series.
-  bool series_enabled_ = false;
-  TimeSec bucket_width_ = 1.0;
-  std::map<std::string, std::vector<double>> path_buckets_;
 };
 
 }  // namespace floc

@@ -89,7 +89,7 @@ void TcpSink::on_packet(Packet&& p) {
         ++duplicates_;
       } else {
         ++delivered_packets_;
-        if (monitor_) monitor_->on_deliver(p.flow, sim_->now(), p.size_bytes);
+        if (monitor_) monitor_->on_deliver(p.flow, p.size_bytes);
       }
       reply(p, PacketType::kAck, win.next_expected());
       break;

@@ -81,7 +81,6 @@ void TcpSource::send_syn() {
 }
 
 void TcpSource::on_packet(Packet&& p) {
-  telemetry::ScopedTimer timer(prof_on_packet_);
   switch (p.type) {
     case PacketType::kSynAck:
       if (state_ == State::kSynSent) {
@@ -185,7 +184,6 @@ void TcpSource::handle_ack(const Packet& p) {
 
 void TcpSource::on_new_ack(std::uint64_t, TimeSec rtt_sample) {
   if (rtt_sample >= 0.0) {
-    if (rtt_hist_ != nullptr) rtt_hist_->observe(rtt_sample);
     if (!rtt_seeded_) {
       srtt_ = rtt_sample;
       rttvar_ = rtt_sample / 2.0;
@@ -275,19 +273,6 @@ void TcpSource::complete() {
   finish_time_ = sim_->now();
   ++timer_gen_;  // cancel any pending timer
   if (completion_) completion_(finish_time_);
-}
-
-void TcpSource::register_metrics(telemetry::MetricRegistry& reg,
-                                 const std::string& prefix) const {
-  reg.gauge_fn(prefix + ".cwnd", [this] { return cwnd_; });
-  reg.gauge_fn(prefix + ".ssthresh", [this] { return ssthresh_; });
-  reg.gauge_fn(prefix + ".srtt", [this] { return srtt_; });
-  reg.gauge_fn(prefix + ".packets_sent",
-               [this] { return static_cast<double>(packets_sent_); });
-  reg.gauge_fn(prefix + ".retransmits",
-               [this] { return static_cast<double>(retransmits_); });
-  reg.gauge_fn(prefix + ".timeouts",
-               [this] { return static_cast<double>(timeouts_); });
 }
 
 }  // namespace floc

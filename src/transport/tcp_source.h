@@ -13,8 +13,6 @@
 #include "netsim/network.h"
 #include "netsim/node.h"
 #include "netsim/simulator.h"
-#include "telemetry/metrics.h"
-#include "telemetry/profiler.h"
 #include "telemetry/tracing.h"
 
 namespace floc {
@@ -55,14 +53,6 @@ class TcpSource : public Agent {
     completion_ = std::move(h);
   }
 
-  // Publish connection state as polled gauges under `prefix`: ".cwnd",
-  // ".ssthresh", ".srtt", ".packets_sent", ".retransmits", ".timeouts".
-  void register_metrics(telemetry::MetricRegistry& reg,
-                        const std::string& prefix) const;
-
-  // Feed every RTT sample into `h` (null detaches; one pointer test per ACK).
-  void set_rtt_histogram(telemetry::LogHistogram* h) { rtt_hist_ = h; }
-
   // Attach causal span tracing: the SYN handshake becomes a kTcpHandshake
   // span, and every data segment a kTcpSend span opened at (re)transmission
   // and closed by the covering ACK. Outgoing packets carry the span in
@@ -70,11 +60,6 @@ class TcpSource : public Agent {
   // flow, pid = source host, tid = flow). Null detaches; detached sends do
   // zero tracing work and zero allocations.
   void set_tracer(telemetry::Tracer* tracer);
-
-  // Attribute on_packet (ACK processing) wall time to a profiler section.
-  void set_profiler(telemetry::Profiler::Section* section) {
-    prof_on_packet_ = section;
-  }
 
  private:
   enum class State { kIdle, kSynSent, kEstablished, kDone };
@@ -130,13 +115,11 @@ class TcpSource : public Agent {
   std::uint64_t retransmits_ = 0;
   std::uint64_t timeouts_ = 0;
   std::function<void(TimeSec)> completion_;
-  telemetry::LogHistogram* rtt_hist_ = nullptr;
 
   // Tracing (null = off; populated only while attached).
   telemetry::Tracer* tracer_ = nullptr;
   telemetry::SpanId syn_span_ = 0;
   std::unordered_map<std::uint64_t, telemetry::SpanId> send_spans_;
-  telemetry::Profiler::Section* prof_on_packet_ = nullptr;
 };
 
 }  // namespace floc

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace floc {
 
@@ -27,11 +26,6 @@ double RunningStats::variance() const {
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-void Cdf::add_all(const std::vector<double>& xs) {
-  samples_.insert(samples_.end(), xs.begin(), xs.end());
-  sorted_ = false;
-}
 
 void Cdf::ensure_sorted() const {
   if (!sorted_) {
@@ -66,68 +60,6 @@ double Cdf::mean() const {
   return s / static_cast<double>(samples_.size());
 }
 
-std::vector<std::pair<double, double>> Cdf::curve(int points) const {
-  std::vector<std::pair<double, double>> out;
-  if (samples_.empty() || points < 2) return out;
-  ensure_sorted();
-  out.reserve(static_cast<std::size_t>(points));
-  for (int i = 0; i < points; ++i) {
-    const double q = static_cast<double>(i) / (points - 1);
-    out.emplace_back(quantile(q), q);
-  }
-  return out;
-}
-
-Histogram::Histogram(double lo, double hi, int bins)
-    : lo_(lo), width_((hi - lo) / bins), counts_(static_cast<std::size_t>(bins), 0.0) {}
-
-void Histogram::add(double x, double weight) {
-  int idx = static_cast<int>((x - lo_) / width_);
-  idx = std::clamp(idx, 0, static_cast<int>(counts_.size()) - 1);
-  counts_[static_cast<std::size_t>(idx)] += weight;
-  total_ += weight;
-}
-
-void ThroughputRecorder::record(const std::string& key, double now,
-                                double bytes) {
-  Series& s = series_[key];
-  s.bytes_total += bytes;
-  s.points.emplace_back(now, s.bytes_total);
-}
-
-double ThroughputRecorder::bytes_between(const Series& s, double t0, double t1) {
-  if (s.points.empty() || t1 <= t0) return 0.0;
-  auto cum_at = [&s](double t) -> double {
-    // Cumulative bytes delivered at time <= t.
-    auto it = std::upper_bound(
-        s.points.begin(), s.points.end(), t,
-        [](double v, const std::pair<double, double>& p) { return v < p.first; });
-    if (it == s.points.begin()) return 0.0;
-    return std::prev(it)->second;
-  };
-  return cum_at(t1) - cum_at(t0);
-}
-
-double ThroughputRecorder::mean_bps(const std::string& key, double t0,
-                                    double t1) const {
-  const auto it = series_.find(key);
-  if (it == series_.end() || t1 <= t0) return 0.0;
-  return bytes_between(it->second, t0, t1) * 8.0 / (t1 - t0);
-}
-
-double ThroughputRecorder::total_bps(double t0, double t1) const {
-  double total = 0.0;
-  for (const auto& [k, s] : series_) total += bytes_between(s, t0, t1);
-  return t1 > t0 ? total * 8.0 / (t1 - t0) : 0.0;
-}
-
-std::vector<std::string> ThroughputRecorder::keys() const {
-  std::vector<std::string> out;
-  out.reserve(series_.size());
-  for (const auto& [k, s] : series_) out.push_back(k);
-  return out;
-}
-
 double jain_fairness(const std::vector<double>& xs) {
   if (xs.empty()) return 1.0;
   double sum = 0.0, sq = 0.0;
@@ -137,17 +69,6 @@ double jain_fairness(const std::vector<double>& xs) {
   }
   if (sq <= 0.0) return 1.0;
   return sum * sum / (static_cast<double>(xs.size()) * sq);
-}
-
-std::string format_row(const std::string& label, const std::vector<double>& values,
-                       int width, int precision) {
-  std::string out = label;
-  char buf[64];
-  for (double v : values) {
-    std::snprintf(buf, sizeof(buf), " %*.*f", width, precision, v);
-    out += buf;
-  }
-  return out;
 }
 
 }  // namespace floc

@@ -2,9 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace floc {
@@ -62,17 +59,16 @@ class Ewma {
 // Empirical CDF over collected samples.
 class Cdf {
  public:
-  void add(double x) { samples_.push_back(x); }
-  void add_all(const std::vector<double>& xs);
+  void add(double x) {
+    samples_.push_back(x);
+    sorted_ = false;
+  }
 
   std::size_t count() const { return samples_.size(); }
   // Value at quantile q in [0,1]; linear interpolation between order stats.
   double quantile(double q) const;
   double fraction_below(double x) const;
   double mean() const;
-
-  // Evenly spaced (x, F(x)) points suitable for plotting, `points` rows.
-  std::vector<std::pair<double, double>> curve(int points) const;
 
   const std::vector<double>& samples() const { return samples_; }
 
@@ -82,55 +78,8 @@ class Cdf {
   mutable bool sorted_ = false;
 };
 
-// Fixed-width histogram over [lo, hi); out-of-range values clamp to edge bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, int bins);
-  void add(double x, double weight = 1.0);
-
-  int bins() const { return static_cast<int>(counts_.size()); }
-  double bin_lo(int i) const { return lo_ + i * width_; }
-  double bin_count(int i) const { return counts_[i]; }
-  double total() const { return total_; }
-
- private:
-  double lo_, width_;
-  std::vector<double> counts_;
-  double total_ = 0.0;
-};
-
-// Records bytes delivered per (category) over time windows; used to report
-// per-path / per-class bandwidth in the experiments.
-class ThroughputRecorder {
- public:
-  // Count `bytes` delivered for `key` at time `now` (seconds).
-  void record(const std::string& key, double now, double bytes);
-
-  // Mean throughput (bits/s) of `key` over [t0, t1].
-  double mean_bps(const std::string& key, double t0, double t1) const;
-
-  // Sum over all keys.
-  double total_bps(double t0, double t1) const;
-
-  std::vector<std::string> keys() const;
-
- private:
-  struct Series {
-    double bytes_total = 0.0;
-    // (time, cumulative bytes) checkpoints, appended in time order.
-    std::vector<std::pair<double, double>> points;
-  };
-  // Bytes of `key` delivered in [t0, t1].
-  static double bytes_between(const Series& s, double t0, double t1);
-  std::map<std::string, Series> series_;
-};
-
 // Jain's fairness index: (sum x)^2 / (n * sum x^2), in (0, 1]; 1 = perfectly
 // equal allocation. Used to compare per-flow fairness across schemes.
 double jain_fairness(const std::vector<double>& allocations);
-
-// Formats a row of numbers with a label; shared by bench table printers.
-std::string format_row(const std::string& label, const std::vector<double>& values,
-                       int width = 10, int precision = 3);
 
 }  // namespace floc

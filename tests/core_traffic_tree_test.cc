@@ -6,11 +6,14 @@ namespace floc {
 namespace {
 
 std::vector<PathSnapshot> sample_paths() {
-  // Tree:        root
-  //             /    \
-  //           1        2
-  //          / \      / \
-  //        1,3 1,4  2,5 2,6
+  // Tree:
+  //   root
+  //   +-- 1
+  //   |   +-- 1,3
+  //   |   +-- 1,4
+  //   +-- 2
+  //       +-- 2,5
+  //       +-- 2,6
   return {
       {PathId::of({1, 3}), 0.9, 10.0},
       {PathId::of({1, 4}), 0.3, 20.0},
@@ -45,7 +48,9 @@ TEST(TrafficTree, ReductionCounts) {
   TrafficTree t(sample_paths());
   EXPECT_EQ(t.reduction(t.root()), 3);  // 4 paths -> 1
   for (int i = 0; i < t.node_count(); ++i) {
-    if (t.node(i).leaf_index >= 0) EXPECT_EQ(t.reduction(i), 0);
+    if (t.node(i).leaf_index >= 0) {
+      EXPECT_EQ(t.reduction(i), 0);
+    }
   }
 }
 

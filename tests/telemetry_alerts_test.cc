@@ -1,6 +1,6 @@
 // AlertEngine: rate-ratio storm detection with min-rate floor and
 // fire/clear hysteresis, threshold rules, JSON export, and the Prometheus
-// text rendering (name sanitization, counter/gauge/histogram shapes).
+// text rendering (name sanitization, gauge shape, label escaping).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -29,14 +29,15 @@ AlertRule storm_rule() {
 
 TEST(Alerts, RateRatioFiresOnBurstAndClearsWithHysteresis) {
   MetricRegistry reg;
-  Counter* pkts = reg.counter("link.packets");
+  double pkts = 0.0;
+  reg.gauge_fn("link.packets", [&pkts] { return pkts; });
   AlertEngine eng(&reg);
   eng.add_rule(storm_rule());
 
   // 120s of steady 20 pkt/s baseline: never fires.
   double t = 0.0;
   for (; t < 120.0; t += 1.0) {
-    pkts->add(20);
+    pkts += 20;
     eng.sample(t);
     ASSERT_FALSE(eng.firing("pkt_storm")) << "t=" << t;
   }
@@ -44,7 +45,7 @@ TEST(Alerts, RateRatioFiresOnBurstAndClearsWithHysteresis) {
 
   // Burst to 200 pkt/s: short-window rate races ahead of the long average.
   for (; t < 140.0; t += 1.0) {
-    pkts->add(200);
+    pkts += 200;
     eng.sample(t);
   }
   EXPECT_TRUE(eng.firing("pkt_storm"));
@@ -54,14 +55,14 @@ TEST(Alerts, RateRatioFiresOnBurstAndClearsWithHysteresis) {
   // so the alert stays latched — no flapping.
   const std::uint64_t edges_at_peak = eng.fired_total();
   for (; t < 150.0; t += 1.0) {
-    pkts->add(80);
+    pkts += 80;
     eng.sample(t);
   }
   EXPECT_EQ(eng.fired_total(), edges_at_peak) << "alert flapped";
 
   // Back to baseline: short rate falls under clear_ratio x long — clears.
   for (; t < 220.0; t += 1.0) {
-    pkts->add(20);
+    pkts += 20;
     eng.sample(t);
   }
   EXPECT_FALSE(eng.firing("pkt_storm"));
@@ -74,7 +75,8 @@ TEST(Alerts, RateRatioFiresOnBurstAndClearsWithHysteresis) {
 
 TEST(Alerts, MinRateFloorSuppressesIdleNoise) {
   MetricRegistry reg;
-  Counter* pkts = reg.counter("link.packets");
+  double pkts = 0.0;
+  reg.gauge_fn("link.packets", [&pkts] { return pkts; });
   AlertEngine eng(&reg);
   eng.add_rule(storm_rule());  // min_rate = 10/s
 
@@ -85,7 +87,7 @@ TEST(Alerts, MinRateFloorSuppressesIdleNoise) {
     eng.sample(t);  // zero traffic
   }
   for (; t < 120.0; t += 1.0) {
-    pkts->add(5);
+    pkts += 5;
     eng.sample(t);
     ASSERT_FALSE(eng.firing("pkt_storm")) << "t=" << t;
   }
@@ -93,7 +95,7 @@ TEST(Alerts, MinRateFloorSuppressesIdleNoise) {
   // A genuine burst from idle exceeds the floor and fires even though the
   // long average is ~0 (the floor alone gates burst-from-idle).
   for (; t < 135.0; t += 1.0) {
-    pkts->add(100);
+    pkts += 100;
     eng.sample(t);
   }
   EXPECT_TRUE(eng.firing("pkt_storm"));
@@ -141,16 +143,17 @@ TEST(Alerts, UnknownMetricReadsAsZero) {
 
 TEST(Alerts, JsonExportAndSave) {
   MetricRegistry reg;
-  Counter* pkts = reg.counter("link.packets");
+  double pkts = 0.0;
+  reg.gauge_fn("link.packets", [&pkts] { return pkts; });
   AlertEngine eng(&reg);
   eng.add_rule(storm_rule());
   double t = 0.0;
   for (; t < 90.0; t += 1.0) {
-    pkts->add(20);
+    pkts += 20;
     eng.sample(t);
   }
   for (; t < 110.0; t += 1.0) {
-    pkts->add(300);
+    pkts += 300;
     eng.sample(t);
   }
   ASSERT_TRUE(eng.firing("pkt_storm"));
@@ -174,20 +177,13 @@ TEST(Alerts, JsonExportAndSave) {
 
 TEST(Alerts, PrometheusRenderingSanitizesAndTypesMetrics) {
   MetricRegistry reg;
-  reg.counter("floc.drops.total")->add(7);
+  reg.gauge_fn("floc.drops.total", [] { return 7.0; });
   reg.gauge_fn("floc.state.occupancy", [] { return 0.25; });
-  auto* h = reg.histogram("queue.delay");
-  h->observe(1.0);
-  h->observe(3.0);
 
   const std::string text = AlertEngine::render_prometheus(reg);
-  // Dots become underscores; counters get _total (without doubling one
-  // that is already there), histograms expose _count/_sum and quantiles.
+  // Dots become underscores.
   EXPECT_NE(text.find("floc_drops_total 7"), std::string::npos) << text;
-  EXPECT_EQ(text.find("floc_drops_total_total"), std::string::npos) << text;
   EXPECT_NE(text.find("floc_state_occupancy 0.25"), std::string::npos);
-  EXPECT_NE(text.find("queue_delay_count 2"), std::string::npos);
-  EXPECT_NE(text.find("queue_delay_sum"), std::string::npos);
   EXPECT_NE(text.find("# TYPE"), std::string::npos);
 
   AlertEngine eng(&reg);
@@ -207,9 +203,8 @@ TEST(Alerts, PrometheusRenderingSanitizesAndTypesMetrics) {
 // registry name so a scrape can be traced back to its source metric.
 TEST(Alerts, PrometheusExpositionGrammar) {
   MetricRegistry reg;
-  reg.counter("floc.caps.issued")->add(3);
-  reg.gauge("floc.window.size")->set(12.0);
-  reg.histogram("floc.verify.ns")->observe(100.0);
+  reg.gauge_fn("floc.caps.issued", [] { return 3.0; });
+  reg.gauge_fn("floc.window.size", [] { return 12.0; });
 
   const std::string text = AlertEngine::render_prometheus(reg);
 
@@ -232,7 +227,7 @@ TEST(Alerts, PrometheusExpositionGrammar) {
       EXPECT_EQ(name, last_help_name) << "TYPE without preceding HELP: "
                                       << line;
       const std::string type = rest.substr(sp + 1);
-      EXPECT_TRUE(type == "counter" || type == "gauge") << line;
+      EXPECT_EQ(type, "gauge") << line;
     } else if (!line.empty()) {
       // Sample line: legal metric name, optional {labels}, space, value.
       const size_t sp = line.find(' ');
@@ -252,11 +247,9 @@ TEST(Alerts, PrometheusExpositionGrammar) {
       EXPECT_EQ(name.find('.'), std::string::npos) << line;
     }
   }
-  // All three kinds actually rendered.
-  EXPECT_NE(text.find("# HELP floc_caps_issued_total"), std::string::npos)
-      << text;
+  // Both metrics actually rendered.
+  EXPECT_NE(text.find("# HELP floc_caps_issued"), std::string::npos) << text;
   EXPECT_NE(text.find("# HELP floc_window_size"), std::string::npos);
-  EXPECT_NE(text.find("# HELP floc_verify_ns_p99"), std::string::npos);
 }
 
 // Label values in the exposition format admit any UTF-8 as long as
@@ -265,7 +258,7 @@ TEST(Alerts, PrometheusExpositionGrammar) {
 // must come out escaped and every sample must stay on one line.
 TEST(Alerts, PrometheusLabelValuesEscapeHostileRuleNames) {
   MetricRegistry reg;
-  reg.counter("floc.drops")->add(1);
+  reg.gauge_fn("floc.drops", [] { return 1.0; });
   AlertEngine eng(&reg);
   const char* hostile[] = {
       "quote\"inject",         // " would close the label value

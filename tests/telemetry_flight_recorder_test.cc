@@ -31,7 +31,8 @@ IncidentTrigger alert_at(TimeSec t, const std::string& name) {
 
 TEST(FlightRecorder, RingIsBoundedAndDeltasBracketTheWindows) {
   MetricRegistry reg;
-  Counter* drops = reg.counter("q.drops");
+  double drops = 0.0;
+  reg.gauge_fn("q.drops", [&drops] { return drops; });
   FlightRecorder::Config cfg;
   cfg.metric_ring = 8;
   cfg.short_window = 2.0;
@@ -41,7 +42,7 @@ TEST(FlightRecorder, RingIsBoundedAndDeltasBracketTheWindows) {
   // One drop per second, sampled each second: t=0..30 -> 31 rows offered,
   // ring keeps the last 8 (t=23..30).
   for (double t = 0.0; t <= 30.0; t += 1.0) {
-    drops->add(1);
+    drops += 1;
     rec.sample(t);
   }
   EXPECT_EQ(rec.ring_rows(), 8u);
@@ -63,7 +64,7 @@ TEST(FlightRecorder, RingIsBoundedAndDeltasBracketTheWindows) {
 
 TEST(FlightRecorder, EmptyRingCapturesValuesWithoutDeltas) {
   MetricRegistry reg;
-  reg.counter("q.drops")->add(5);
+  reg.gauge_fn("q.drops", [] { return 5.0; });
   FlightRecorder rec(&reg);
   const IncidentBundle* b = rec.capture(alert_at(1.0, "cold"));
   ASSERT_NE(b, nullptr);
@@ -76,10 +77,11 @@ TEST(FlightRecorder, EmptyRingCapturesValuesWithoutDeltas) {
 
 TEST(FlightRecorder, LateRegisteredMetricsHaveNoDeltaAgainstOldRows) {
   MetricRegistry reg;
-  reg.counter("first");
+  reg.gauge_fn("first", [] { return 0.0; });
   FlightRecorder rec(&reg);
-  rec.sample(1.0);               // one-column row
-  reg.counter("second")->add(3);  // registers after the row was sampled
+  rec.sample(1.0);  // one-column row
+  // Registers after the row was sampled.
+  reg.gauge_fn("second", [] { return 3.0; });
   const IncidentBundle* b = rec.capture(alert_at(2.0, "late"));
   ASSERT_NE(b, nullptr);
   ASSERT_EQ(b->metrics.size(), 2u);
@@ -143,7 +145,7 @@ TEST(FlightRecorder, BundlesCarryJournalTailSpansAndStateDumps) {
 
 TEST(FlightRecorder, SavedFileParsesAndHoldsNoWallClockFields) {
   MetricRegistry reg;
-  reg.counter("q.drops")->add(2);
+  reg.gauge_fn("q.drops", [] { return 2.0; });
   FlightRecorder rec(&reg);
   rec.set_bench("unit_bench");
   rec.add_state("q", [](json::JsonWriter& w, TimeSec) {
@@ -186,11 +188,12 @@ TEST(FlightRecorder, SavedFileParsesAndHoldsNoWallClockFields) {
 TEST(FlightRecorder, IdenticalRunsSerializeByteIdentically) {
   auto run = [] {
     MetricRegistry reg;
-    Counter* c = reg.counter("q.drops");
+    double drops = 0.0;
+    reg.gauge_fn("q.drops", [&drops] { return drops; });
     FlightRecorder rec(&reg);
     rec.set_bench("twin");
     for (double t = 0.0; t < 5.0; t += 1.0) {
-      c->add(3);
+      drops += 3;
       rec.sample(t);
     }
     rec.capture(alert_at(4.5, "twin_alert"));

@@ -1,5 +1,5 @@
 // TimeSeriesSampler: alignment with simulated time, late-metric backfill,
-// derived rate columns, histogram column expansion, CSV/JSON export.
+// derived rate columns, CSV/JSON export.
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -35,7 +35,7 @@ struct FakeSched {
 
 TEST(Sampler, PeriodAlignedWithSimulatedTime) {
   MetricRegistry reg;
-  reg.gauge("g")->set(1.0);
+  reg.gauge_fn("g", [] { return 1.0; });
   TimeSeriesSampler s(&reg, 0.25);
 
   FakeSched sched;
@@ -52,7 +52,7 @@ TEST(Sampler, PeriodAlignedWithSimulatedTime) {
 
 TEST(Sampler, ManySamplesStayAligned) {
   MetricRegistry reg;
-  reg.gauge("g");
+  reg.gauge_fn("g", [] { return 0.0; });
   // A period with no exact binary representation: accumulation would drift.
   TimeSeriesSampler s(&reg, 0.1);
   FakeSched sched;
@@ -64,12 +64,13 @@ TEST(Sampler, ManySamplesStayAligned) {
 
 TEST(Sampler, RateColumns) {
   MetricRegistry reg;
-  Counter* c = reg.counter("bytes");
+  double bytes = 0.0;
+  reg.gauge_fn("bytes", [&bytes] { return bytes; });
   TimeSeriesSampler s(&reg, 1.0);
   s.sample(0.0);
-  c->add(10);
+  bytes += 10;
   s.sample(2.0);
-  c->add(30);
+  bytes += 30;
   s.sample(4.0);
 
   s.add_rate_column("bytes");
@@ -80,10 +81,10 @@ TEST(Sampler, RateColumns) {
 
 TEST(Sampler, LateMetricsBackfillNaN) {
   MetricRegistry reg;
-  reg.gauge("early")->set(1.0);
+  reg.gauge_fn("early", [] { return 1.0; });
   TimeSeriesSampler s(&reg, 1.0);
   s.sample(0.0);
-  reg.gauge("late")->set(2.0);
+  reg.gauge_fn("late", [] { return 2.0; });
   s.sample(1.0);
 
   EXPECT_DOUBLE_EQ(s.value(0, "early"), 1.0);
@@ -92,27 +93,14 @@ TEST(Sampler, LateMetricsBackfillNaN) {
   EXPECT_TRUE(std::isnan(s.value(0, "no-such-column")));
 }
 
-TEST(Sampler, HistogramExpandsToQuantileColumns) {
-  MetricRegistry reg;
-  LogHistogram* h = reg.histogram("lat");
-  for (int i = 1; i <= 100; ++i) h->observe(static_cast<double>(i));
-  TimeSeriesSampler s(&reg, 1.0);
-  s.sample(0.0);
-
-  EXPECT_DOUBLE_EQ(s.value(0, "lat.count"), 100.0);
-  EXPECT_NEAR(s.value(0, "lat.p50"), 50.0, 50.0 * 0.02);
-  EXPECT_NEAR(s.value(0, "lat.p90"), 90.0, 90.0 * 0.02);
-  EXPECT_NEAR(s.value(0, "lat.p99"), 99.0, 99.0 * 0.02);
-  EXPECT_NEAR(s.value(0, "lat.p999"), 100.0, 100.0 * 0.02);
-}
-
 TEST(Sampler, CsvAndJsonExport) {
   MetricRegistry reg;
-  Counter* c = reg.counter("n");
+  double n = 0.0;
+  reg.gauge_fn("n", [&n] { return n; });
   TimeSeriesSampler s(&reg, 1.0);
   s.sample(0.0);
-  reg.gauge("late")->set(7.0);
-  c->add(3);
+  reg.gauge_fn("late", [] { return 7.0; });
+  n += 3;
   s.sample(1.0);
 
   const std::string csv = s.to_csv();
@@ -127,7 +115,7 @@ TEST(Sampler, CsvAndJsonExport) {
 
 TEST(Sampler, WriteCsvRoundTrips) {
   MetricRegistry reg;
-  reg.gauge("g")->set(5.0);
+  reg.gauge_fn("g", [] { return 5.0; });
   TimeSeriesSampler s(&reg, 1.0);
   s.sample(0.0);
   const std::string path = ::testing::TempDir() + "floc_sampler_test.csv";

@@ -15,9 +15,9 @@ FlowLabel attacker(const std::string& path) {
 TEST(FlowMonitor, FlowBpsBetweenSnapshots) {
   FlowMonitor m;
   m.register_flow(1, legit("p0"));
-  m.on_deliver(1, 0.5, 1000.0);
+  m.on_deliver(1, 1000.0);
   m.snapshot("a", 1.0);
-  m.on_deliver(1, 1.5, 3000.0);
+  m.on_deliver(1, 3000.0);
   m.snapshot("b", 3.0);
   EXPECT_DOUBLE_EQ(m.flow_bps(1, "a", "b"), 3000.0 * 8.0 / 2.0);
 }
@@ -25,7 +25,7 @@ TEST(FlowMonitor, FlowBpsBetweenSnapshots) {
 TEST(FlowMonitor, IgnoresUnregisteredFlows) {
   FlowMonitor m;
   m.register_flow(1, legit("p0"));
-  m.on_deliver(99, 0.5, 1000.0);
+  m.on_deliver(99, 1000.0);
   m.snapshot("a", 0.0);
   m.snapshot("b", 1.0);
   EXPECT_DOUBLE_EQ(m.flow_bps(1, "a", "b"), 0.0);
@@ -37,9 +37,9 @@ TEST(FlowMonitor, ClassBpsByPredicate) {
   m.register_flow(2, legit("p1", /*attack_path=*/true));
   m.register_flow(3, attacker("p1"));
   m.snapshot("a", 0.0);
-  m.on_deliver(1, 0.5, 1000.0);
-  m.on_deliver(2, 0.5, 2000.0);
-  m.on_deliver(3, 0.5, 4000.0);
+  m.on_deliver(1, 1000.0);
+  m.on_deliver(2, 2000.0);
+  m.on_deliver(3, 4000.0);
   m.snapshot("b", 1.0);
   EXPECT_DOUBLE_EQ(m.class_bps(FlowMonitor::is_legit_on_legit_path, "a", "b"),
                    8000.0);
@@ -52,7 +52,7 @@ TEST(FlowMonitor, BandwidthCdf) {
   FlowMonitor m;
   for (FlowId f = 1; f <= 4; ++f) m.register_flow(f, legit("p"));
   m.snapshot("a", 0.0);
-  for (FlowId f = 1; f <= 4; ++f) m.on_deliver(f, 0.5, 1000.0 * static_cast<double>(f));
+  for (FlowId f = 1; f <= 4; ++f) m.on_deliver(f, 1000.0 * static_cast<double>(f));
   m.snapshot("b", 1.0);
   Cdf c = m.bandwidth_cdf(FlowMonitor::is_legit_on_legit_path, "a", "b");
   EXPECT_EQ(c.count(), 4u);
@@ -66,26 +66,13 @@ TEST(FlowMonitor, PathBps) {
   m.register_flow(2, legit("p0"));
   m.register_flow(3, legit("p1"));
   m.snapshot("a", 0.0);
-  m.on_deliver(1, 0.1, 500.0);
-  m.on_deliver(2, 0.2, 500.0);
-  m.on_deliver(3, 0.3, 1000.0);
+  m.on_deliver(1, 500.0);
+  m.on_deliver(2, 500.0);
+  m.on_deliver(3, 1000.0);
   m.snapshot("b", 1.0);
   const auto by_path = m.path_bps("a", "b");
   EXPECT_DOUBLE_EQ(by_path.at("p0"), 8000.0);
   EXPECT_DOUBLE_EQ(by_path.at("p1"), 8000.0);
-}
-
-TEST(FlowMonitor, PathSeries) {
-  FlowMonitor m;
-  m.enable_path_series(1.0);
-  m.register_flow(1, legit("p0"));
-  m.on_deliver(1, 0.5, 1000.0);
-  m.on_deliver(1, 2.5, 2000.0);
-  const auto series = m.path_series_bps("p0");
-  ASSERT_EQ(series.size(), 3u);
-  EXPECT_DOUBLE_EQ(series[0], 8000.0);
-  EXPECT_DOUBLE_EQ(series[1], 0.0);
-  EXPECT_DOUBLE_EQ(series[2], 16000.0);
 }
 
 TEST(FlowMonitor, SnapshotMissingThrows) {
@@ -100,7 +87,7 @@ TEST(FlowMonitor, FlowsRegisteredAfterSnapshotCountFromZero) {
   m.register_flow(1, legit("p0"));
   m.snapshot("a", 0.0);
   m.register_flow(2, legit("p0"));
-  m.on_deliver(2, 0.5, 1000.0);
+  m.on_deliver(2, 1000.0);
   m.snapshot("b", 1.0);
   EXPECT_DOUBLE_EQ(m.flow_bps(2, "a", "b"), 8000.0);
 }
