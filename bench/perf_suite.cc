@@ -12,7 +12,8 @@
 //             synthetic load shapes (steady / cbr flood / shrew pulses) —
 //             packets/sec per (scheme, load) cell, plus the machine-portable
 //             gated ratios floc-vs-droptail and the fast-path allocation
-//             counts from the scoped counting allocator, and FLoc's
+//             counts from the scoped counting allocator (steady loads, and
+//             FLoc under identity churn with a flow budget), and FLoc's
 //             enqueue+dequeue cost with the event journal, the span tracer
 //             or the profiler attached, each as a ratio to the detached run;
 //  * macro:   a shrunk fig06 attack sweep (TCP-population / CBR / shrew on
@@ -407,6 +408,49 @@ double queue_workload_ns(QueueDisc& q, Load load, int packets) {
   return static_cast<double>(t1 - t0) / packets;
 }
 
+// FLoc under identity churn against a budgeted flow table: each of 8 paths'
+// accounting keys rotate through a pool five times the per-path flow budget
+// (48), 9 packets per key, at 3x link overload, so most packets are dropped
+// into a fresh flow record's MTD ring and every few keys evict a batch.
+// Returns heap allocations per 1000 offered packets over 2 s of simulated
+// time after a 1 s warm-up, control loop included. Deterministic.
+double floc_churn_allocs_per_kpkt(std::uint64_t seed) {
+  constexpr int kPaths = 8;
+  constexpr int kPool = 5 * 48;
+  FlocConfig cfg;
+  cfg.link_bandwidth = mbps(500);
+  cfg.buffer_packets = 1024;
+  cfg.flow_budget.capacity = 48;
+  cfg.rng_seed = seed;
+  FlocQueue q(cfg);
+  PathId paths[kPaths];
+  for (int i = 0; i < kPaths; ++i) {
+    paths[i] = PathId::of({static_cast<AsNumber>(i + 1),
+                           static_cast<AsNumber>(100 + i)});
+  }
+  const double dt = 1500.0 * 8.0 / mbps(500) / 3.0;
+  const int per_second = static_cast<int>(1.0 / dt);
+  int i = 0;
+  const auto run = [&](int offers) {
+    for (const int end = i + offers; i < end; ++i) {
+      const int key = i / 9;  // consecutive packets share a key
+      Packet p;
+      p.flow = static_cast<FlowId>((key % kPaths) * 100000 +
+                                   (key / kPaths) % kPool);
+      p.src = static_cast<HostAddr>(p.flow + 1);
+      p.dst = 9999;
+      p.path = paths[key % kPaths];
+      q.enqueue(std::move(p), i * dt);
+      if (i % 3 == 0) q.dequeue(i * dt);
+    }
+  };
+  run(per_second);  // warm-up
+  telemetry::ScopedAllocCount guard;
+  run(2 * per_second);
+  g_sink = q.drops();
+  return static_cast<double>(guard.allocs()) * 1000.0 / (2 * per_second);
+}
+
 // --- FLoc with observers attached --------------------------------------------
 
 enum class Observer { kNone, kJournal, kTracer, kProfiler };
@@ -764,6 +808,15 @@ int run_suite(const SuiteArgs& a) {
     char name[96];
     std::snprintf(name, sizeof(name), "alloc.%s_steady.allocs_per_kpkt",
                   to_string(scheme));
+    report.add(name, r.best, "allocs/kpkt", r.noise, false, /*gate=*/true);
+    std::printf("%-38s %10.2f allocs/kpkt (noise %.1f%%)\n", name, r.best,
+                100.0 * r.noise);
+  }
+  {
+    const RepeatResult r =
+        repeat(a.repeats, /*higher_is_better=*/false,
+               [&] { return floc_churn_allocs_per_kpkt(a.seed); });
+    const char* name = "alloc.floc_churn.allocs_per_kpkt";
     report.add(name, r.best, "allocs/kpkt", r.noise, false, /*gate=*/true);
     std::printf("%-38s %10.2f allocs/kpkt (noise %.1f%%)\n", name, r.best,
                 100.0 * r.noise);

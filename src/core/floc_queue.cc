@@ -308,7 +308,7 @@ void FlocQueue::snapshot_state(json::JsonWriter& w, TimeSec now) const {
             static_cast<std::uint64_t>(fkeys.size() - shown));
     w.key("flows").begin_array();
     for (std::size_t i = 0; i < shown; ++i) {
-      const FlowRecord& fr = op.flows().at(fkeys[i]);
+      const FlowRecord& fr = op.flows().find(fkeys[i])->second;
       w.begin_object();
       w.field("acct_key", fkeys[i]);
       w.field("first_seen", fr.first_seen);
@@ -1012,8 +1012,12 @@ void FlocQueue::control(TimeSec now) {
   // --- Rebuild aggregates from the current plan --------------------------
   // Every origin adopts its planned aggregate. A surviving aggregate's map
   // node moves into the new map, keeping token state and verdict, and starts
-  // a new interval; aggregates no origin maps to are dropped. Keys enter in
-  // first-use order, which fixes the iteration order of every loop below.
+  // a new interval; aggregates no origin maps to are dropped. Iterating an
+  // std::unordered_map does NOT follow first-use order: the order of this
+  // loop and of every aggregate loop below comes from the standard library's
+  // bucket layout, and reaches the floating-point sums total_weight and
+  // q_max_extra. ROADMAP item 7(a) fixes that order before these maps move
+  // to DenseTable.
   std::unordered_map<std::uint64_t, Aggregate> fresh;
   for (auto& [okey, op] : origins_) {
     const std::uint64_t akey = op.adopt_plan();

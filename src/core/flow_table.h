@@ -7,15 +7,20 @@
 // all of a source's flows hashing to the same capability slot share one
 // accounting flow (Section IV-B.3), so a high-fanout source looks like a
 // single high-rate flow.
+//
+// Each origin's flow records sit in a DenseTable: one insertion-ordered
+// array plus an open-addressed index. Under identity churn a new key reuses
+// an erased record's slot (and its MTD ring's storage), so a warm table
+// inserts and evicts without touching the allocator.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 
 #include "core/mtd_tracker.h"
 #include "core/state_budget.h"
 #include "netsim/packet.h"
+#include "util/dense_table.h"
 #include "util/stats.h"
 #include "util/units.h"
 
@@ -26,13 +31,25 @@ struct FlowRecord {
   TimeSec last_seen = 0.0;
   TimeSec syn_time = -1.0;   // when this flow's SYN passed the router
   bool rtt_sampled = false;  // true once the SYN->first-data sample was taken
-  MtdTracker mtd;
+  MtdTracker mtd{};
   double bytes_arrived = 0.0;  // current control interval
   std::uint64_t drops = 0;     // current control interval
   std::uint64_t total_drops = 0;
   double rate_bps = 0.0;       // smoothed arrival-rate estimate
   std::uint64_t touch_stamp = 0;  // monotone per-path LRU stamp
+
+  // Back to a fresh record, keeping the MTD ring's heap storage; the flow
+  // table calls this when a new key reuses an erased record's slot.
+  void reset() {
+    MtdTracker ring = std::move(mtd);
+    *this = FlowRecord{};
+    ring.clear();
+    ring.set_window(mtd.window());
+    mtd = std::move(ring);
+  }
 };
+
+using FlowTable = DenseTable<std::uint64_t, FlowRecord>;
 
 // State of one *origin* (full, unaggregated) path identifier.
 class OriginPathState {
@@ -64,10 +81,8 @@ class OriginPathState {
   std::size_t expire_flows(TimeSec now, TimeSec timeout);
 
   std::size_t flow_count() const { return flows_.size(); }
-  std::unordered_map<std::uint64_t, FlowRecord>& flows() { return flows_; }
-  const std::unordered_map<std::uint64_t, FlowRecord>& flows() const {
-    return flows_;
-  }
+  FlowTable& flows() { return flows_; }
+  const FlowTable& flows() const { return flows_; }
 
   void add_rtt_sample(TimeSec s) { rtt_.add(s); }
   bool has_rtt() const { return rtt_.seeded(); }
@@ -127,7 +142,7 @@ class OriginPathState {
  private:
   PathId path_;
   std::uint64_t key_;
-  std::unordered_map<std::uint64_t, FlowRecord> flows_;
+  FlowTable flows_;
   Ewma conformance_;
   Ewma rtt_;
   std::uint64_t touch_counter_ = 0;  // per-path LRU clock for flow records

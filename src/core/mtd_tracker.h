@@ -3,8 +3,11 @@
 // to their send rate — show MTDs well below the reference n_i·T_Si.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "util/units.h"
@@ -15,11 +18,37 @@ class MtdTracker {
  public:
   // `window` = k·T_Si, the measurement horizon; may be adjusted as token
   // parameters change. `max_records` (>= 1) bounds memory per flow: the
-  // drop history is a ring that allocates nothing before the first drop,
-  // then doubles as needed up to `max_records` entries, evicting the oldest
-  // drop once full.
+  // drop history is a ring whose first min(4, max_records) entries are
+  // inline, so a flow with few drops never allocates; past that it moves to
+  // the heap and doubles as needed up to `max_records` entries, evicting the
+  // oldest drop once full.
   explicit MtdTracker(TimeSec window = 1.0, std::size_t max_records = 512)
       : window_(window), max_records_(max_records) {}
+
+  MtdTracker(const MtdTracker&) = default;
+  MtdTracker& operator=(const MtdTracker&) = default;
+  // A moved-from tracker is empty (its heap ring went with the move).
+  MtdTracker(MtdTracker&& o) noexcept
+      : window_(o.window_), max_records_(o.max_records_), inline_(o.inline_),
+        heap_(std::move(o.heap_)), head_(o.head_), count_(o.count_),
+        total_drops_(o.total_drops_) {
+    o.clear();
+  }
+  MtdTracker& operator=(MtdTracker&& o) noexcept {
+    window_ = o.window_;
+    max_records_ = o.max_records_;
+    inline_ = o.inline_;
+    heap_ = std::move(o.heap_);
+    head_ = o.head_;
+    count_ = o.count_;
+    total_drops_ = o.total_drops_;
+    o.clear();
+    return *this;
+  }
+
+  // Forgets every drop, the total included. Keeps the window, the bound and
+  // the ring's storage, so a reused tracker allocates nothing.
+  void clear() { head_ = count_ = total_drops_ = 0; }
 
   void set_window(TimeSec w) { window_ = w; }
   TimeSec window() const { return window_; }
@@ -39,9 +68,19 @@ class MtdTracker {
   void pop_oldest();
   void grow();
 
+  static constexpr std::size_t kInlineRecords = 4;
+  TimeSec* ring() { return heap_.empty() ? inline_.data() : heap_.data(); }
+  std::size_t capacity() const {
+    return heap_.empty() ? std::min(kInlineRecords, max_records_)
+                         : heap_.size();
+  }
+
   TimeSec window_;
   std::size_t max_records_;
-  std::vector<TimeSec> ring_;  // capacity = ring_.size(); oldest at head_
+  // The ring, oldest drop at head_: inline_ until it outgrows it, then
+  // heap_ (capacity = heap_.size()).
+  std::array<TimeSec, kInlineRecords> inline_{};
+  std::vector<TimeSec> heap_;
   std::size_t head_ = 0;
   std::size_t count_ = 0;
   std::size_t total_drops_ = 0;

@@ -71,5 +71,37 @@ TEST(OriginPathState, FirstSeenPreserved) {
   EXPECT_DOUBLE_EQ(fr2.last_seen, 9.0);
 }
 
+TEST(OriginPathState, ReusedFlowSlotReadsAsAFreshRecord) {
+  // An expired record's slot (and its grown MTD ring) is reused by the next
+  // new key; the new record must be indistinguishable from a fresh one.
+  OriginPathState st = state_of(PathId::of({1}));
+  FlowRecord& old = st.touch_flow(7, 1.0);
+  old.syn_time = 0.9;
+  old.rtt_sampled = true;
+  old.bytes_arrived = 3000.0;
+  old.drops = 2;
+  old.total_drops = 40;
+  old.rate_bps = 1e6;
+  old.mtd.set_window(3.0);
+  for (int i = 0; i < 40; ++i) old.mtd.record_drop(1.0 + 0.001 * i);
+  st.expire_flows(10.0, 1.0);
+  ASSERT_EQ(st.flow_count(), 0u);
+
+  const FlowRecord& fr = st.touch_flow(8, 10.0);
+  const FlowRecord fresh{};
+  EXPECT_DOUBLE_EQ(fr.first_seen, 10.0);
+  EXPECT_DOUBLE_EQ(fr.last_seen, 10.0);
+  EXPECT_EQ(fr.syn_time, fresh.syn_time);
+  EXPECT_EQ(fr.rtt_sampled, fresh.rtt_sampled);
+  EXPECT_EQ(fr.bytes_arrived, fresh.bytes_arrived);
+  EXPECT_EQ(fr.drops, fresh.drops);
+  EXPECT_EQ(fr.total_drops, fresh.total_drops);
+  EXPECT_EQ(fr.rate_bps, fresh.rate_bps);
+  EXPECT_EQ(fr.mtd.window(), fresh.mtd.window());
+  EXPECT_EQ(fr.mtd.total_drops(), 0u);
+  EXPECT_EQ(st.find_flow(8)->mtd.drops_in_window(10.0), 0u);
+  EXPECT_EQ(st.find_flow(7), nullptr);
+}
+
 }  // namespace
 }  // namespace floc

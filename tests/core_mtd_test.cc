@@ -4,7 +4,9 @@
 
 #include <cmath>
 #include <deque>
+#include <iterator>
 #include <limits>
+#include <utility>
 
 #include "util/rng.h"
 
@@ -109,9 +111,15 @@ class DequeMtd {
 };
 
 TEST(MtdTracker, MatchesDequeReferenceUnderRandomDropsAndWindows) {
+  // Bounds below, at and above the 4 inline records, so runs cross the
+  // inline -> heap boundary, plus random ones.
+  constexpr std::size_t kBounds[] = {1, 2, 3, 4, 5, 8, 512};
+  constexpr int kFixed = static_cast<int>(std::size(kBounds));
   Rng rng(42);
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::size_t max_records = 1 + rng.uniform_int(trial % 2 ? 8 : 700);
+  for (int trial = 0; trial < 200 + 4 * kFixed; ++trial) {
+    const std::size_t max_records =
+        trial < 4 * kFixed ? kBounds[trial % kFixed]
+                           : 1 + rng.uniform_int(trial % 2 ? 8 : 700);
     TimeSec window = rng.uniform(0.05, 3.0);
     MtdTracker ring(window, max_records);
     DequeMtd ref(window, max_records);
@@ -140,6 +148,51 @@ TEST(MtdTracker, MatchesDequeReferenceUnderRandomDropsAndWindows) {
     }
     EXPECT_LE(ring.drops_in_window(now), max_records);
   }
+}
+
+TEST(MtdTracker, CopyAndMoveKeepInlineAndHeapDrops) {
+  // 3 drops stay in the inline ring; 40 spill to the heap.
+  for (const int drops : {3, 40}) {
+    MtdTracker t(2.0, 64);
+    for (int i = 0; i < drops; ++i) t.record_drop(0.01 * i);
+    const TimeSec now = 0.5;
+    const TimeSec want = MtdTracker(t).mtd(now);
+    ASSERT_EQ(want, 2.0 / drops);
+
+    MtdTracker copy(t);
+    MtdTracker assigned;
+    assigned = t;
+    EXPECT_EQ(copy.mtd(now), want) << drops;
+    EXPECT_EQ(assigned.mtd(now), want) << drops;
+    EXPECT_EQ(t.mtd(now), want) << drops;  // the source is untouched
+
+    MtdTracker moved(std::move(copy));
+    MtdTracker move_assigned;
+    move_assigned = std::move(assigned);
+    EXPECT_EQ(moved.mtd(now), want) << drops;
+    EXPECT_EQ(move_assigned.mtd(now), want) << drops;
+    EXPECT_EQ(moved.total_drops(), static_cast<std::size_t>(drops));
+    // A moved-from tracker is empty and still usable.
+    EXPECT_TRUE(std::isinf(copy.mtd(now)));
+    copy.record_drop(now);
+    EXPECT_EQ(copy.drops_in_window(now), 1u);
+
+    // Copies are independent: a drop on one leaves the other alone.
+    moved.record_drop(now);
+    EXPECT_EQ(move_assigned.mtd(now), want) << drops;
+    EXPECT_EQ(moved.mtd(now), 2.0 / (drops + 1)) << drops;
+  }
+}
+
+TEST(MtdTracker, ClearForgetsDropsAndKeepsWorking) {
+  MtdTracker t(1.0, 16);
+  for (int i = 0; i < 12; ++i) t.record_drop(0.01 * i);
+  t.clear();
+  EXPECT_EQ(t.total_drops(), 0u);
+  EXPECT_TRUE(std::isinf(t.mtd(0.2)));
+  EXPECT_EQ(t.window(), 1.0);
+  for (int i = 0; i < 20; ++i) t.record_drop(0.2 + 0.01 * i);
+  EXPECT_EQ(t.drops_in_window(0.4), 16u);  // still bounded by max_records
 }
 
 }  // namespace

@@ -13,7 +13,11 @@
 // the warm-up and the measured cycles run inside the first such period: all
 // of them together span less than 50 ms of simulated time. DRR is driven
 // with continuously backlogged flows (an emptied flow leaves its map and
-// round list), FLoc with a stable flow and path set.
+// round list). FLoc runs twice: with a stable flow and path set, and under
+// identity churn (QueueZeroAlloc.FlocChurnUnderFlowBudgetAllocatesNothing),
+// where most packets insert a new accounting flow, evict old ones from the
+// budgeted per-path flow table and record a drop in the new record's MTD
+// history.
 #include <functional>
 #include <memory>
 #include <ostream>
@@ -196,6 +200,69 @@ TEST_P(QueueZeroAlloc, SteadyCyclesAtPartialAndFullOccupancyAllocateNothing) {
   EXPECT_EQ(guard.allocs(), 0u) << "full occupancy";
   EXPECT_GT(q->admissions(), static_cast<std::uint64_t>(2 * kCycles));
   EXPECT_LT(d.now(), 0.05) << "left the first control period";
+}
+
+// Identity churn against a budgeted flow table: each path's accounting keys
+// rotate through a pool five times the per-path flow budget, on the fixed
+// four paths, so nearly every burst inserts a new flow record and every few
+// bursts evict a batch. The queue stays full and three offers follow each
+// departure, so two packets in three are dropped and land in their record's
+// MTD ring; a burst's 6 drops take the ring past its 4 inline entries. Once
+// the tables and the reused rings have grown to their working size, none of
+// this may touch the heap.
+TEST(QueueZeroAlloc, FlocChurnUnderFlowBudgetAllocatesNothing) {
+  constexpr std::size_t kBudget = 48;
+  constexpr int kPool = 5 * static_cast<int>(kBudget);  // keys per path
+  constexpr int kBurst = 9;                             // packets per key
+  FlocConfig cfg;
+  cfg.link_bandwidth = gbps(10);
+  cfg.buffer_packets = kBuffer;
+  cfg.flow_budget.capacity = kBudget;
+  FlocQueue q(cfg);
+
+  PathId paths[4];
+  for (int i = 0; i < 4; ++i) {
+    paths[i] = PathId::of({static_cast<AsNumber>(i + 1),
+                           static_cast<AsNumber>(100 + i)});
+  }
+  TimeSec now = 0.0;
+  int seq = 0;
+  const auto offer = [&] {
+    const int burst = seq++ / kBurst;  // consecutive packets share a key
+    const int path = burst % 4;
+    const int key = (burst / 4) % kPool;
+    Packet p;
+    p.flow = static_cast<FlowId>(path * 100000 + key);
+    p.src = static_cast<HostAddr>(p.flow + 1);
+    p.dst = 9999;
+    p.path = paths[path];
+    p.type = PacketType::kData;
+    q.enqueue(std::move(p), now);
+    now += kStep;
+  };
+  const auto cycle = [&] {
+    q.dequeue(now);
+    now += kStep;
+    for (int i = 0; i < 3; ++i) offer();
+  };
+  const int rotation = 4 * kPool * kBurst / 3;  // cycles per pool rotation
+
+  while (q.packet_count() < kBuffer) offer();
+  for (int i = 0; i < 3 * rotation; ++i) cycle();  // warm-up
+
+  const std::uint64_t evicted = q.evicted_flows();
+  const std::uint64_t drops = q.drops();
+  telemetry::ScopedAllocCount guard;
+  for (int i = 0; i < 2 * rotation; ++i) cycle();
+  EXPECT_EQ(guard.allocs(), 0u);
+
+  EXPECT_GT(q.evicted_flows() - evicted,
+            static_cast<std::uint64_t>(4 * kPool)) << "keys did not churn";
+  const auto offers = static_cast<std::uint64_t>(3 * 2 * rotation);
+  EXPECT_GT(10 * (q.drops() - drops), 6 * offers)
+      << "most offers should be dropped";
+  EXPECT_LE(q.max_path_flow_count(), kBudget);
+  EXPECT_LT(now, cfg.control_interval) << "left the first control period";
 }
 
 INSTANTIATE_TEST_SUITE_P(
