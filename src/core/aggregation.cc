@@ -4,12 +4,21 @@
 #include <cassert>
 #include <limits>
 
+#include "util/dense_table.h"
+
 namespace floc {
 namespace {
 
 // Identity entry: path keeps its own identifier and one bandwidth share.
 AggregationPlan::Entry identity(const PathSnapshot& s, bool attack) {
   return {s.path, 1.0, 1, attack};
+}
+
+// Distinct group keys in the plan.
+int count_ids(const AggregationPlan& plan) {
+  DenseTable<std::uint64_t, bool> seen;
+  for (const auto& [k, e] : plan.mapping) seen.try_emplace(e.group_key());
+  return static_cast<int>(seen.size());
 }
 
 }  // namespace
@@ -44,22 +53,20 @@ AggregationPlan Aggregator::plan(const std::vector<PathSnapshot>& paths) const {
     plan_legit(legit, &out);
   }
 
-  auto count_ids = [&out] {
-    std::unordered_map<std::uint64_t, int> seen;
-    for (const auto& [k, e] : out.mapping) seen[e.group_key()] = 1;
-    return static_cast<int>(seen.size());
-  };
-  out.identifier_count = count_ids();
+  out.identifier_count = count_ids(out);
 
   // --- Budget enforcement over legitimate identifiers --------------------
-  // Iterated: each pass merges disjoint subtrees; re-running over the merged
-  // units lets their ancestors combine further until the budget holds or no
-  // merge remains.
-  if (cfg_.enforce_budget && cfg_.aggregate_legit && legit.size() >= 2) {
+  // When the legitimate identifiers alone exceed the budget (|S^L| > s_max,
+  // e.g. the paper's A-100 runs with 200 legitimate ASes), merge legitimate
+  // paths, most flow-balanced subtrees first; merged paths keep their
+  // combined bandwidth shares (Section IV-C.2). Iterated: each pass merges
+  // disjoint subtrees; re-running over the merged units lets their ancestors
+  // combine further until the budget holds or no merge remains.
+  if (cfg_.aggregate_legit && legit.size() >= 2) {
     for (int pass = 0; pass < 6 && out.identifier_count > cfg_.s_max; ++pass) {
       const int before = out.identifier_count;
       enforce_legit_budget(legit, &out);
-      out.identifier_count = count_ids();
+      out.identifier_count = count_ids(out);
       if (out.identifier_count == before) break;  // no progress possible
     }
   }
@@ -71,13 +78,17 @@ std::vector<int> Aggregator::choose_attack_nodes(const TrafficTree& tree,
   // Candidates: internal nodes (>= 2 paths beneath). Aggregation "starts from
   // nearby domains (longest postfix-matching path identifiers)": among equal
   // costs, prefer deeper (longer-prefix) nodes — they localize attack effects
-  // and keep RTT-homogeneous flows together.
+  // and keep RTT-homogeneous flows together. The prefix key breaks the
+  // remaining ties, so the choice does not depend on the input order.
   std::vector<int> candidates = tree.internal_nodes(/*include_root=*/true);
   std::sort(candidates.begin(), candidates.end(), [&](int a, int b) {
     const double ca = tree.mean_conformance(a);
     const double cb = tree.mean_conformance(b);
     if (ca != cb) return ca < cb;
-    return tree.node(a).prefix.length() > tree.node(b).prefix.length();
+    const PathId& pa = tree.node(a).prefix;
+    const PathId& pb = tree.node(b).prefix;
+    if (pa.length() != pb.length()) return pa.length() > pb.length();
+    return pa.key() < pb.key();
   });
 
   std::vector<int> chosen;
@@ -211,45 +222,41 @@ void Aggregator::plan_legit(const std::vector<PathSnapshot>& legit,
 
 void Aggregator::enforce_legit_budget(const std::vector<PathSnapshot>& legit,
                                       AggregationPlan* plan) const {
-  // Representative snapshot per current legitimate identifier: origin paths
-  // already merged by plan_legit act as one unit at their aggregate prefix.
-  std::unordered_map<std::uint64_t, PathSnapshot> reps;
-  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> members_of;
-  int attack_ids = 0;
-  {
-    std::unordered_map<std::uint64_t, int> seen_attack;
-    for (const auto& s : legit) {
-      const auto& e = plan->mapping.at(s.path.key());
-      auto [it, inserted] = reps.try_emplace(e.aggregate.key());
-      if (inserted) {
-        it->second.path = e.aggregate;
-        it->second.conformance = 0.0;
-        it->second.flows = 0.0;
-        it->second.suspect = false;
-      }
-      it->second.flows += s.flows;
-      it->second.conformance =
-          std::max(it->second.conformance, s.conformance);
-      it->second.suspect = it->second.suspect || s.suspect;
-      members_of[e.aggregate.key()].push_back(s.path.key());
-    }
-    for (const auto& [k, e] : plan->mapping) {
-      if (e.is_attack) seen_attack[e.aggregate.key()] = 1;
-    }
-    attack_ids = static_cast<int>(seen_attack.size());
+  // One unit per current legitimate identifier: origin paths already merged
+  // by plan_legit act as one representative snapshot at their aggregate
+  // prefix. Units and their origins follow the input order.
+  struct Unit {
+    PathSnapshot rep;
+    std::vector<std::uint64_t> origins;
+  };
+  DenseTable<std::uint64_t, Unit> units_by_key;
+  for (const auto& s : legit) {
+    const auto& e = plan->mapping.at(s.path.key());
+    auto [it, inserted] = units_by_key.try_emplace(e.aggregate.key());
+    Unit& u = it->second;
+    if (inserted) u.rep = PathSnapshot{e.aggregate, 0.0, 0.0, false};
+    u.rep.flows += s.flows;
+    u.rep.conformance = std::max(u.rep.conformance, s.conformance);
+    u.rep.suspect = u.rep.suspect || s.suspect;
+    u.origins.push_back(s.path.key());
+  }
+  DenseTable<std::uint64_t, bool> attack_ids;
+  for (const auto& [k, e] : plan->mapping) {
+    if (e.is_attack) attack_ids.try_emplace(e.aggregate.key());
   }
 
-  int legit_budget = cfg_.s_max - attack_ids;
+  int legit_budget = cfg_.s_max - static_cast<int>(attack_ids.size());
   if (legit_budget < 1) legit_budget = 1;
-  if (static_cast<int>(reps.size()) <= legit_budget) return;
+  if (static_cast<int>(units_by_key.size()) <= legit_budget) return;
 
   std::vector<PathSnapshot> units;
-  units.reserve(reps.size());
-  for (auto& [k, s] : reps) units.push_back(s);
+  units.reserve(units_by_key.size());
+  for (const auto& [k, u] : units_by_key) units.push_back(u.rep);
 
   TrafficTree tree(units);
   // Candidates ordered by flow imbalance (the covert-guard metric): merge
-  // the most balanced subtrees first, deeper prefixes before shallower.
+  // the most balanced subtrees first, deeper prefixes before shallower, then
+  // by prefix key.
   struct Cand {
     int node;
     double imbalance;
@@ -272,7 +279,10 @@ void Aggregator::enforce_legit_budget(const std::vector<PathSnapshot>& legit,
   }
   std::sort(cands.begin(), cands.end(), [&](const Cand& a, const Cand& b) {
     if (a.imbalance != b.imbalance) return a.imbalance < b.imbalance;
-    return tree.node(a.node).prefix.length() > tree.node(b.node).prefix.length();
+    const PathId& pa = tree.node(a.node).prefix;
+    const PathId& pb = tree.node(b.node).prefix;
+    if (pa.length() != pb.length()) return pa.length() > pb.length();
+    return pa.key() < pb.key();
   });
 
   int current = static_cast<int>(units.size());
@@ -291,17 +301,18 @@ void Aggregator::enforce_legit_budget(const std::vector<PathSnapshot>& legit,
     const PathId agg_id = tree.node(c.node).prefix;
     // Re-map every origin path behind each unit; shares combine.
     int origin_count = 0;
+    const auto origins_of = [&](int pi) -> const std::vector<std::uint64_t>& {
+      return units_by_key
+          .find(tree.paths()[static_cast<std::size_t>(pi)].path.key())
+          ->second.origins;
+    };
     for (int pi : members) {
       taken[static_cast<std::size_t>(pi)] = true;
-      const std::uint64_t unit_key =
-          tree.paths()[static_cast<std::size_t>(pi)].path.key();
-      origin_count += static_cast<int>(members_of[unit_key].size());
+      origin_count += static_cast<int>(origins_of(pi).size());
     }
     shares = static_cast<double>(origin_count);
     for (int pi : members) {
-      const std::uint64_t unit_key =
-          tree.paths()[static_cast<std::size_t>(pi)].path.key();
-      for (std::uint64_t okey : members_of[unit_key]) {
+      for (std::uint64_t okey : origins_of(pi)) {
         plan->mapping[okey] = AggregationPlan::Entry{
             agg_id, shares, origin_count, /*is_attack=*/false};
       }

@@ -27,11 +27,6 @@ struct AggregationConfig {
   double legit_max_increase = 0.5;  // covert guard: max per-flow bw increase
   bool aggregate_legit = true;
   bool aggregate_attack = true;
-  // When the legitimate identifiers alone exceed the budget (|S^L| > s_max,
-  // e.g. the paper's A-100 runs with 200 legitimate ASes), merge legitimate
-  // paths — most flow-balanced subtrees first — until the budget holds.
-  // Merged paths keep their combined bandwidth shares (Section IV-C.2).
-  bool enforce_budget = true;
 };
 
 struct AggregationPlan {
@@ -68,7 +63,8 @@ class Aggregator {
 
   // Compute an aggregation plan for the given snapshot of origin paths.
   // Every input path appears in the output mapping (identity-mapped with
-  // weight 1 if untouched).
+  // weight 1 if untouched). The entries depend only on the set of input
+  // paths, not on their order.
   AggregationPlan plan(const std::vector<PathSnapshot>& paths) const;
 
   const AggregationConfig& config() const { return cfg_; }

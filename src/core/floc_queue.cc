@@ -182,15 +182,16 @@ double FlocQueue::state_occupancy() const {
 
 namespace {
 
-// Sorted keys of an unordered_map: incident bundles must not leak hash
-// iteration order into gated artifacts (--jobs byte-identity).
-template <typename Map>
-std::vector<typename Map::key_type> sorted_keys(const Map& m) {
-  std::vector<typename Map::key_type> keys;
-  keys.reserve(m.size());
-  for (const auto& [k, v] : m) keys.push_back(k);
-  std::sort(keys.begin(), keys.end());
-  return keys;
+// A table's records in key order: incident bundles list state by key, not
+// in hash or insertion order (--jobs byte-identity).
+template <typename Table>
+std::vector<const typename Table::value_type*> by_key(const Table& t) {
+  std::vector<const typename Table::value_type*> out;
+  out.reserve(t.size());
+  for (const auto& kv : t) out.push_back(&kv);
+  std::sort(out.begin(), out.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  return out;
 }
 
 void dump_budget(json::JsonWriter& w, const char* name,
@@ -241,8 +242,8 @@ void FlocQueue::snapshot_state(json::JsonWriter& w, TimeSec now) const {
   w.end_object();
 
   w.key("aggregates").begin_array();
-  for (const std::uint64_t akey : sorted_keys(aggregates_)) {
-    const Aggregate& agg = aggregates_.at(akey);
+  for (const auto* kv : by_key(aggregates_)) {
+    const auto& [akey, agg] = *kv;
     w.begin_object();
     w.field("path", agg.id.to_string());
     w.field("key", akey);
@@ -286,10 +287,10 @@ void FlocQueue::snapshot_state(json::JsonWriter& w, TimeSec now) const {
   // Per-origin flow tables can be large under churn; bound the per-path dump
   // and say how much was omitted rather than truncating silently.
   constexpr std::size_t kMaxFlowsPerOrigin = 32;
-  const std::vector<std::uint64_t> okeys = sorted_keys(origins_);
+  const auto origins = by_key(origins_);
   w.key("origins").begin_array();
-  for (const std::uint64_t okey : okeys) {
-    const OriginPathState& op = origins_.at(okey);
+  for (const auto* kv : origins) {
+    const auto& [okey, op] = *kv;
     w.begin_object();
     w.field("path", op.path().to_string());
     w.field("key", okey);
@@ -302,15 +303,15 @@ void FlocQueue::snapshot_state(json::JsonWriter& w, TimeSec now) const {
     w.field("drops", op.drops);
     w.field("token_misses", op.token_misses);
     w.field("flow_count", static_cast<std::uint64_t>(op.flow_count()));
-    std::vector<std::uint64_t> fkeys = sorted_keys(op.flows());
-    const std::size_t shown = std::min(fkeys.size(), kMaxFlowsPerOrigin);
+    const auto flows = by_key(op.flows());
+    const std::size_t shown = std::min(flows.size(), kMaxFlowsPerOrigin);
     w.field("flows_omitted",
-            static_cast<std::uint64_t>(fkeys.size() - shown));
+            static_cast<std::uint64_t>(flows.size() - shown));
     w.key("flows").begin_array();
     for (std::size_t i = 0; i < shown; ++i) {
-      const FlowRecord& fr = op.flows().find(fkeys[i])->second;
+      const auto& [fkey, fr] = *flows[i];
       w.begin_object();
-      w.field("acct_key", fkeys[i]);
+      w.field("acct_key", fkey);
       w.field("first_seen", fr.first_seen);
       w.field("last_seen", fr.last_seen);
       w.field("rtt_sampled", fr.rtt_sampled);
@@ -327,8 +328,9 @@ void FlocQueue::snapshot_state(json::JsonWriter& w, TimeSec now) const {
   w.end_array();
 
   w.key("plan").begin_array();
-  for (const std::uint64_t okey : okeys) {
-    const std::uint64_t akey = origins_.at(okey).planned_key;
+  for (const auto* kv : origins) {
+    const auto& [okey, op] = *kv;
+    const std::uint64_t akey = op.planned_key;
     if (akey == 0) continue;  // no plan names this origin yet
     w.begin_object();
     w.field("origin", okey);
@@ -338,8 +340,8 @@ void FlocQueue::snapshot_state(json::JsonWriter& w, TimeSec now) const {
   w.end_array();
 
   w.key("offense").begin_array();
-  for (const std::uint64_t pkey : sorted_keys(offense_)) {
-    const PathOffense& po = offense_.at(pkey);
+  for (const auto* kv : by_key(offense_)) {
+    const auto& [pkey, po] = *kv;
     w.begin_object();
     w.field("path_key", pkey);
     w.field("multiplier", static_cast<std::int64_t>(po.multiplier));
@@ -352,8 +354,8 @@ void FlocQueue::snapshot_state(json::JsonWriter& w, TimeSec now) const {
   w.end_array();
 
   w.key("offenders").begin_array();
-  for (const HostAddr src : sorted_keys(offenders_)) {
-    const Offender& off = offenders_.at(src);
+  for (const auto* kv : by_key(offenders_)) {
+    const auto& [src, off] = *kv;
     w.begin_object();
     w.field("src", static_cast<std::uint64_t>(src));
     w.field("strikes", static_cast<std::int64_t>(off.strikes));
@@ -575,7 +577,7 @@ void FlocQueue::strike(HostAddr src, TimeSec now) {
   auto it = offenders_.find(src);
   if (it == offenders_.end()) {
     enforce_offender_budget(now);
-    it = offenders_.emplace(src, Offender{}).first;
+    it = offenders_.try_emplace(src).first;
     // Eviction-safe re-latch: a sender whose active sentence was evicted
     // re-enters one strike short of the threshold, so its next strike
     // restores the blacklist instead of restarting the count.
@@ -1179,8 +1181,9 @@ void FlocQueue::control(TimeSec now) {
       if (cfg_.backoff_release) {
         auto poit = offense_.find(akey);
         if (poit == offense_.end()) {
+          // Evicts from offense_ only; `agg` lives in aggregates_.
           enforce_offense_budget();
-          poit = offense_.emplace(akey, PathOffense{}).first;
+          poit = offense_.try_emplace(akey).first;
         }
         PathOffense& po = poit->second;
         po.touch_stamp = ++touch_seq_;

@@ -36,6 +36,7 @@
 #include "netsim/queue_disc.h"
 #include "telemetry/profiler.h"
 #include "telemetry/telemetry.h"
+#include "util/dense_table.h"
 #include "util/rng.h"
 
 namespace floc {
@@ -417,9 +418,11 @@ class FlocQueue : public QueueDisc {
   // Aggregates keyed by aggregate PathId::key().
   std::unordered_map<std::uint64_t, Aggregate> aggregates_;
   // Hardening state. Both tables survive reboot() deliberately (see the
-  // FlocConfig comments); they stay empty while the knobs are off.
-  std::unordered_map<std::uint64_t, PathOffense> offense_;
-  std::unordered_map<HostAddr, Offender> offenders_;
+  // FlocConfig comments); they stay empty while the knobs are off. Any
+  // insert or erase may move a DenseTable's records: no PathOffense& or
+  // Offender& is held across one into the same table.
+  DenseTable<std::uint64_t, PathOffense> offense_;
+  DenseTable<HostAddr, Offender> offenders_;
 
   // Bounded-state machinery. The sketch survives reboot() like the verdict
   // tables it backs up; the counters are cumulative.

@@ -10,7 +10,6 @@ void MtdTracker::record_drop(TimeSec now) {
   if (count_ == capacity()) grow();
   ring()[(head_ + count_) % capacity()] = now;
   ++count_;
-  ++total_drops_;
 }
 
 void MtdTracker::pop_oldest() {

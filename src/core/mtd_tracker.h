@@ -30,8 +30,7 @@ class MtdTracker {
   // A moved-from tracker is empty (its heap ring went with the move).
   MtdTracker(MtdTracker&& o) noexcept
       : window_(o.window_), max_records_(o.max_records_), inline_(o.inline_),
-        heap_(std::move(o.heap_)), head_(o.head_), count_(o.count_),
-        total_drops_(o.total_drops_) {
+        heap_(std::move(o.heap_)), head_(o.head_), count_(o.count_) {
     o.clear();
   }
   MtdTracker& operator=(MtdTracker&& o) noexcept {
@@ -41,14 +40,13 @@ class MtdTracker {
     heap_ = std::move(o.heap_);
     head_ = o.head_;
     count_ = o.count_;
-    total_drops_ = o.total_drops_;
     o.clear();
     return *this;
   }
 
-  // Forgets every drop, the total included. Keeps the window, the bound and
-  // the ring's storage, so a reused tracker allocates nothing.
-  void clear() { head_ = count_ = total_drops_ = 0; }
+  // Forgets every drop. Keeps the window, the bound and the ring's storage,
+  // so a reused tracker allocates nothing.
+  void clear() { head_ = count_ = 0; }
 
   void set_window(TimeSec w) { window_ = w; }
   TimeSec window() const { return window_; }
@@ -60,8 +58,6 @@ class MtdTracker {
 
   // MTD(f) = window / drops; +infinity when no drop was observed.
   TimeSec mtd(TimeSec now);
-
-  std::size_t total_drops() const { return total_drops_; }
 
  private:
   void prune(TimeSec now);
@@ -83,7 +79,6 @@ class MtdTracker {
   std::vector<TimeSec> heap_;
   std::size_t head_ = 0;
   std::size_t count_ = 0;
-  std::size_t total_drops_ = 0;
 };
 
 }  // namespace floc

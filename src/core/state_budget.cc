@@ -87,10 +87,4 @@ void EvictionSketch::rotate() {
   std::fill(banks_[fresh_].begin(), banks_[fresh_].end(), 0);
 }
 
-void EvictionSketch::clear() {
-  std::fill(banks_[0].begin(), banks_[0].end(), 0);
-  std::fill(banks_[1].begin(), banks_[1].end(), 0);
-  marks_ = 0;
-}
-
 }  // namespace floc

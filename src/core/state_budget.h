@@ -167,7 +167,6 @@ class EvictionSketch {
   void mark(std::uint64_t key);
   bool test(std::uint64_t key) const;
   void rotate();
-  void clear();
 
   std::uint64_t marks() const { return marks_; }
 

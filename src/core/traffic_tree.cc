@@ -93,14 +93,4 @@ std::vector<int> TrafficTree::paths_under(int i) const {
   return out;
 }
 
-std::string TrafficTree::to_string() const {
-  std::string out;
-  for (int i = 0; i < node_count(); ++i) {
-    const Node& n = nodes_[static_cast<std::size_t>(i)];
-    out += n.prefix.to_string() + " leaves=" + std::to_string(n.leaf_count) +
-           (n.leaf_index >= 0 ? " [path]" : "") + "\n";
-  }
-  return out;
-}
-
 }  // namespace floc

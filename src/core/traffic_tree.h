@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "netsim/packet.h"
@@ -68,8 +67,6 @@ class TrafficTree {
 
   // Leaf path indices (into paths()) under node i.
   std::vector<int> paths_under(int i) const;
-
-  std::string to_string() const;
 
  private:
   int child_with_as(int node, AsNumber as) const;

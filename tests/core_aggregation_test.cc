@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
+
+#include "util/rng.h"
 
 namespace floc {
 namespace {
@@ -174,6 +178,77 @@ TEST(Aggregator, AttackDisabledLeavesAttackPathsAlone) {
       {PathId::of({1, 11}), 0.1, 1.0},
   });
   EXPECT_EQ(distinct_aggregates(plan), 2);
+}
+
+// A random traffic tree: up to `n` distinct paths of 1-4 hops over small AS
+// alphabets, so prefixes are shared at every depth and some paths end at
+// internal nodes. Conformance and flow counts come from small sets of
+// exactly representable values, so candidate costs tie exactly and every
+// sum is the same in any order.
+std::vector<PathSnapshot> random_tree(Rng& rng, int n, double e_th_floor) {
+  std::vector<PathSnapshot> out;
+  std::set<std::uint64_t> keys;
+  for (int i = 0; i < n; ++i) {
+    PathId p;
+    const int hops = 1 + static_cast<int>(rng.uniform_int(4));
+    for (int h = 0; h < hops; ++h) {
+      p.push_origin(static_cast<AsNumber>(1 + rng.uniform_int(h == 0 ? 3 : 4)));
+    }
+    if (!keys.insert(p.key()).second) continue;
+    const double conformance =
+        e_th_floor +
+        (1.0 - e_th_floor) * static_cast<double>(rng.uniform_int(5)) / 4.0;
+    const double flows = static_cast<double>(1 + rng.uniform_int(4));
+    out.push_back(PathSnapshot{p, conformance, flows, rng.chance(0.1)});
+  }
+  return out;
+}
+
+// Aggregator::plan depends only on the set of input paths: a shuffled input
+// maps every origin to the same group with the same shares.
+void expect_plan_order_free(const AggregationConfig& cfg, double e_th_floor,
+                            std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<PathSnapshot> snaps = random_tree(rng, 40, e_th_floor);
+  const Aggregator agg(cfg);
+  const AggregationPlan want = agg.plan(snaps);
+  for (int shuffle = 0; shuffle < 8; ++shuffle) {
+    for (std::size_t i = snaps.size(); i > 1; --i) {
+      std::swap(snaps[i - 1], snaps[rng.uniform_int(i)]);
+    }
+    const AggregationPlan got = agg.plan(snaps);
+    EXPECT_EQ(got.identifier_count, want.identifier_count);
+    for (const PathSnapshot& s : snaps) {
+      const auto& g = got.entry_for(s.path);
+      const auto& w = want.entry_for(s.path);
+      EXPECT_EQ(g.group_key(), w.group_key())
+          << s.path.to_string() << " seed " << seed << " shuffle " << shuffle;
+      EXPECT_EQ(g.share_weight, w.share_weight)
+          << s.path.to_string() << " seed " << seed << " shuffle " << shuffle;
+    }
+  }
+}
+
+TEST(Aggregator, PlanDependsOnlyOnTheSetOfPaths) {
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    // Legitimate-path aggregation (Eq. IV.8) with a loose budget, over
+    // mixed attack and legitimate paths.
+    AggregationConfig loose;
+    expect_plan_order_free(loose, 0.0, seed);
+    // |S|_max-limited: Algorithm 1 must shrink the attack tree (about 23
+    // legitimate and 15 attack paths), but not all the way to one.
+    AggregationConfig tight;
+    tight.s_max = 30;
+    expect_plan_order_free(tight, 0.0, seed);
+    // Legitimate paths alone exceed the budget: enforce_legit_budget merges,
+    // and at the larger budgets stops part-way through its candidates.
+    for (const int s_max : {5, 12, 20}) {
+      AggregationConfig legit_budget;
+      legit_budget.s_max = s_max;
+      expect_plan_order_free(legit_budget, 0.5, seed);
+    }
+    if (HasFailure()) return;
+  }
 }
 
 }  // namespace

@@ -98,7 +98,6 @@ TEST(OriginPathState, ReusedFlowSlotReadsAsAFreshRecord) {
   EXPECT_EQ(fr.total_drops, fresh.total_drops);
   EXPECT_EQ(fr.rate_bps, fresh.rate_bps);
   EXPECT_EQ(fr.mtd.window(), fresh.mtd.window());
-  EXPECT_EQ(fr.mtd.total_drops(), 0u);
   EXPECT_EQ(st.find_flow(8)->mtd.drops_in_window(10.0), 0u);
   EXPECT_EQ(st.find_flow(7), nullptr);
 }

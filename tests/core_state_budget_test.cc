@@ -171,10 +171,6 @@ TEST(EvictionSketch, MarkTestRotateLifecycle) {
   // ...but not two (the stale bank is retired).
   sk.rotate();
   EXPECT_FALSE(sk.test(123));
-
-  sk.mark(55);
-  sk.clear();
-  EXPECT_FALSE(sk.test(55));
 }
 
 TEST(EvictionSketch, LowFalsePositiveRateAtRealisticLoad) {
